@@ -1,9 +1,11 @@
 """Benchmark: sharded process-parallel band build vs the thread backend.
 
 The band build over *irregular-support* signatures (k-means: every
-support distinct) is the one workload the batched solvers cannot stack —
-each pair needs its own LP, and the engine's thread pool is GIL-bound on
-the per-pair Python/scipy overhead.  The sharded runner
+support distinct) on the per-pair backend ``backend="linprog"`` needs one
+LP per pair, and the engine's thread pool is GIL-bound on the per-pair
+Python/scipy overhead.  (The default ``"auto"`` stacks these pairs into
+block-diagonal LPs instead; see ``bench_linprog_batch.py`` for that
+comparison.)  The sharded runner
 (:mod:`repro.emd.sharding`) attacks exactly this case: the band's pair
 set is split into row-block shards, the signatures are placed in
 ``multiprocessing.shared_memory`` once, and each worker process solves
@@ -47,7 +49,7 @@ PARITY_TOL = 1e-12
 
 
 def make_irregular_signatures(n_bags, bag_size, n_clusters, seed):
-    """k-means signatures: every support distinct, no batched stacking."""
+    """k-means signatures: every support distinct."""
     rng = np.random.default_rng(seed)
     bags = [rng.normal(0.0, 1.0, size=(bag_size, 3)) for _ in range(n_bags)]
     builder = SignatureBuilder("kmeans", n_clusters=n_clusters, random_state=seed)
@@ -91,17 +93,17 @@ def main(argv=None) -> int:
 
     signatures = make_irregular_signatures(n_bags, bag_size, args.clusters, args.seed)
     plan = ShardPlan.build(n_bags, bandwidth, n_shards)
-    settings = EngineSettings(backend="auto")
+    settings = EngineSettings(backend="linprog")
 
     # ------------------------------------------------------------------ #
     # Build section: serial reference, thread backend, sharded processes.
     # ------------------------------------------------------------------ #
     serial_time, reference = timed(
-        lambda: PairwiseEMDEngine(backend="auto").banded_matrix(signatures, bandwidth)
+        lambda: PairwiseEMDEngine(backend="linprog").banded_matrix(signatures, bandwidth)
     )
 
     with PairwiseEMDEngine(
-        backend="auto", parallel_backend="thread", n_workers=args.workers
+        backend="linprog", parallel_backend="thread", n_workers=args.workers
     ) as thread_engine:
         thread_time, thread_band = timed(
             lambda: thread_engine.banded_matrix(signatures, bandwidth)

@@ -317,9 +317,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-drain", action="store_true",
         help="drain all streams through one cross-stream stacked solve per "
-        "round instead of one solve per stream (bit-identical scores on "
-        "the exact backends; pairs with --emd-backend linprog_batch or "
-        "sinkhorn_batch)",
+        "round instead of one solve per stream (scores within 1e-12 on "
+        "the exact backends)",
     )
     parser.add_argument(
         "--history-limit", type=int, default=None,

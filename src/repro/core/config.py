@@ -55,19 +55,18 @@ class DetectorConfig:
     ground_distance:
         Ground distance of the EMD (Section 3.2).
     emd_backend:
-        ``"auto"``, ``"linprog"``, ``"simplex"`` (exact per-pair
-        solvers), ``"linprog_batch"`` — the block-diagonal batched
-        *exact* LP, which stacks common-support pairs (e.g. histogram
-        signatures over a shared grid) into single HiGHS solves with
-        distances exactly equal to ``"linprog"`` — or
-        ``"sinkhorn_batch"`` — the tensor-batched *entropic* solver over
-        the same support grouping.  Exact 1-D pairs always take the
-        closed-form fast path; irregular supports fall back to the
-        per-pair exact LP.  Note ``"sinkhorn_batch"`` computes the
-        *normalised-mass* (balanced) EMD throughout — equal to the
-        paper's partial-matching EMD whenever bags carry equal total
-        mass, an approximation otherwise — while ``"linprog_batch"``
-        keeps the paper's partial-matching functional unchanged.
+        ``"auto"`` (default; ``"linprog_batch"`` is a second name for
+        it) — the exact stacked route: 1-D equal-mass pairs take the closed form, every other
+        pair is grouped by ``(dimension, K_a, K_b)`` and solved in
+        block-diagonal HiGHS LPs, equal to the per-pair LP to within
+        1e-12 — ``"linprog"`` or ``"simplex"`` (exact, one solve per
+        pair), or ``"sinkhorn_batch"`` — the tensor-batched *entropic*
+        solver over pairs that share a support grid, with the stacked
+        exact route for irregular supports.  Note ``"sinkhorn_batch"``
+        computes the *normalised-mass* (balanced) EMD throughout — equal
+        to the paper's partial-matching EMD whenever bags carry equal
+        total mass, an approximation otherwise — while the exact
+        backends keep the paper's partial-matching functional.
     sinkhorn_epsilon:
         Unit-free regularisation strength of the batched Sinkhorn solver
         (smaller = closer to the exact EMD but slower); only used with
@@ -87,20 +86,25 @@ class DetectorConfig:
         start at it.  Stages must be strictly decreasing and stay above
         ``sinkhorn_epsilon``.
     parallel_backend:
-        How the EMD engine computes batches of pair distances:
-        ``"serial"`` (default), ``"thread"`` or ``"process"``.
+        ``"serial"`` (default), ``"thread"`` or ``"process"``.  The EMD
+        engine's worker pool solves the independent stacked LP chunks
+        of ``"auto"``/``"linprog_batch"``, or the single pairs of
+        ``"linprog"``/``"simplex"``; the 1-D closed form and the batched
+        Sinkhorn solver always run in-process.  With ``n_shards`` set,
+        ``"process"`` runs the shards in worker processes instead.
     n_workers:
         Worker-pool size for ``"thread"``/``"process"`` (and for the
         sharded band build); ``None`` uses the CPU count.
     n_shards:
         When set (> 1), the offline detector builds the EMD band
-        through :class:`repro.emd.sharding.ShardRunner`: the band's
-        pair set is partitioned into that many contiguous row-blocks,
-        executed process-parallel when ``parallel_backend="process"``
-        (signatures shared via ``multiprocessing.shared_memory``) and
-        sequentially otherwise, then merged — bit-for-bit equal to the
-        unsharded build.  ``None`` (default) keeps the single-pass
-        build.
+        through :class:`repro.emd.orchestrator.ShardOrchestrator`: the
+        band's pair set is partitioned into that many contiguous
+        row-blocks, executed process-parallel when
+        ``parallel_backend="process"`` (signatures shared via
+        ``multiprocessing.shared_memory``) and sequentially otherwise,
+        then merged — equal to the unsharded build to within 1e-12
+        (stacked LP solves may move the last ulp with their chunk's
+        composition).  ``None`` (default) keeps the single-pass build.
     shard_checkpoint_dir:
         Optional directory for per-shard ``.npz`` checkpoints.  With it
         set, a killed detection run resumes its band build at the last

@@ -9,41 +9,41 @@ provides the two pieces the detectors build on instead:
 * :class:`BandedDistanceMatrix` — stores only the ``O(n · (τ + τ′))``
   band of the symmetric pairwise matrix, with windowed views for the
   score computation and a dense export for Fig.-6-style plots;
-* :class:`PairwiseEMDEngine` — computes batches of signature pairs,
-  vectorising the exact 1-D fast path across all eligible pairs at once
-  and optionally farming the remaining transportation solves out to a
-  thread or process pool.  The pool is created lazily and persists
-  across :meth:`~PairwiseEMDEngine.compute_pairs` calls (use
-  :meth:`~PairwiseEMDEngine.close` or a ``with`` block to release it),
-  and ground-distance matrices are cached for signature pairs that share
-  a common support — histogram-signature batches solve many LPs over one
-  cost matrix instead of rebuilding it per pair.
+* :class:`PairwiseEMDEngine` — computes batches of signature pairs.
 
-With the batched backends the engine additionally groups pending pairs
-by *support signature* (the byte pattern of their positions arrays) and
-routes each group through a multi-pair solver over one shared cost
-kernel:
+The exact backend ``"auto"`` (default; ``"linprog_batch"`` is a second
+name for it) takes one of two routes per pair:
 
-* ``backend="sinkhorn_batch"`` — the tensor-batched entropic solver
-  :func:`~repro.emd.sinkhorn_batch.sinkhorn_transport_batch`
-  (approximate; normalised-mass balanced transport);
-* ``backend="linprog_batch"`` — the block-diagonal exact LP
-  :func:`~repro.emd.linprog_batch.solve_emd_linprog_batch`, one HiGHS
-  call per support group with distances *exactly* equal to per-pair
-  :func:`~repro.emd.linprog_backend.solve_emd_linprog`.
+* the closed-form 1-D integral, vectorised across every eligible pair
+  (one-dimensional supports, equal masses, an Lp ground distance);
+* a stacked exact LP for everything else: pairs are grouped by
+  ``(dimension, K_a, K_b)`` and each chunk of a group is solved as one
+  block-diagonal HiGHS model by
+  :func:`~repro.emd.linprog_batch.solve_emd_linprog_batch`, over a
+  ``(P, K_a, K_b)`` cost tensor built only when that chunk is solved.
 
-Pairs whose two supports differ but overlap on one grid (d-dimensional
-histogram signatures with varying bin occupancy) are each embedded into
-the union of *their own* two supports with zero-weight atoms — a
-pair-local decision, so every pair is routed and solved identically no
-matter which other pairs share the batch (the invariant
-:mod:`repro.emd.sharding` relies on for exact shard merges) — and pairs
-whose unions coincide are stacked into a single batched solve.  Only
-genuinely irregular supports fall back to the per-pair LP.  A :class:`~repro.exceptions.SolverError` raised inside
-any batched group solve is re-raised with the
-:meth:`~PairwiseEMDEngine.compute_pairs` positions of the pairs that
-were stacked into the failing group (``SolverError.pair_indices``), so
-batching never loses track of which inputs failed.
+``"sinkhorn_batch"`` groups pairs by *support signature* (the byte
+pattern of their positions arrays) instead and runs the tensor-batched
+entropic solver :func:`~repro.emd.sinkhorn_batch.sinkhorn_transport_batch`
+over one shared cost kernel per group, embedding mixed-support pairs on
+one grid into the union of their own two supports; irregular supports
+take the stacked exact route on normalised weights.  The per-pair
+backends ``"linprog"`` and ``"simplex"`` solve one LP per pair, with
+ground-distance matrices cached for pairs that share a support.  With
+``parallel_backend="thread"``/``"process"`` the stacked chunks (or the
+per-pair solves) run on a lazily created worker pool (use
+:meth:`~PairwiseEMDEngine.close` or a ``with`` block to release it).
+
+Every routing decision is pair-local, so a pair is solved by the same
+route no matter which other pairs share its batch (the invariant
+:mod:`repro.emd.sharding` and the cross-stream drain rely on); stacked
+HiGHS solves may still differ in the last ulp with batch composition,
+which the parity suites bound at 1e-12.  A
+:class:`~repro.exceptions.SolverError` raised inside any batched solve is
+re-raised with the :meth:`~PairwiseEMDEngine.compute_pairs` positions of
+the pairs that were stacked into the failing solve
+(``SolverError.pair_indices``), so batching never loses track of which
+inputs failed.
 """
 
 from __future__ import annotations
@@ -51,7 +51,19 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from concurrent.futures import Executor
@@ -64,9 +76,8 @@ from ..signatures import Signature
 from .distance import _can_use_1d_fast_path, emd
 from .ground_distance import GroundDistance, cross_distance_matrix
 from .linprog_backend import solve_emd_linprog
-from .linprog_batch import solve_emd_linprog_batch
+from .linprog_batch import chunk_slices, solve_emd_linprog_batch
 from .registry import (
-    BATCHED_SOLVERS,
     EMD_SOLVERS,
     PAIRWISE_SOLVERS,
     PARALLEL_BACKENDS,
@@ -458,25 +469,73 @@ def _emd_pair(
     return float(plan.cost / plan.total_flow)
 
 
+def _translate_group_error(exc: SolverError, members: Sequence[int]) -> SolverError:
+    """Batch-local failure indices -> :meth:`PairwiseEMDEngine.compute_pairs` positions.
+
+    A stacked solve reports which rows of *its* batch failed (or nothing,
+    when the failure is not attributable); either way the caller needs to
+    know which of the pairs it submitted were stacked into the failing
+    solve, so re-raise with the group's positions in the original
+    ``compute_pairs`` batch.
+    """
+    if exc.pair_indices is None:
+        failing = [int(p) for p in members]
+    else:
+        failing = [int(members[i]) for i in exc.pair_indices]
+    return SolverError(
+        f"{exc} [pairs at compute_pairs positions {failing} were part "
+        "of the failing batched solve]",
+        pair_indices=failing,
+    )
+
+
+# One stacked-LP job: the chunk's compute_pairs positions, its pairs and
+# the ground distance.
+_StackedJob = Tuple[List[int], List[Tuple[Signature, Signature]], GroundDistance]
+_Job = TypeVar("_Job")
+_Result = TypeVar("_Result")
+
+
+def _solve_stacked_chunk(args: _StackedJob) -> np.ndarray:
+    """One stacked exact LP over a chunk of same-shape pairs (pool-safe).
+
+    The chunk's ``(P, K_a, K_b)`` cost tensor is built here, only when
+    the chunk is solved, so a band's costs never sit in memory at once.
+    ``members`` are the chunk's :meth:`PairwiseEMDEngine.compute_pairs`
+    positions, which a failure is re-raised with.
+    """
+    members, chunk, ground_distance = args
+    cost = np.stack(
+        [cross_distance_matrix(a.positions, b.positions, ground_distance) for a, b in chunk]
+    )
+    supply = np.stack([a.weights for a, _ in chunk])
+    demand = np.stack([b.weights for _, b in chunk])
+    try:
+        return solve_emd_linprog_batch(cost, supply, demand).distances
+    except SolverError as exc:
+        raise _translate_group_error(exc, members) from exc
+
+
 class PairwiseEMDEngine:
     """Computes EMD over batches of signature pairs.
 
     Parameters
     ----------
     ground_distance, backend:
-        Forwarded to :func:`repro.emd.emd` for every pair.  ``backend``
-        additionally accepts two *batched* solvers that group pairs by
-        support signature and solve whole groups at once:
-        ``"sinkhorn_batch"`` (tensor-batched entropic approximation) and
-        ``"linprog_batch"`` (block-diagonal exact LP — one HiGHS call
-        per support group, distances exactly equal to per-pair
-        ``"linprog"``).  Exact 1-D pairs still take the closed-form fast
-        path; irregular supports fall back to the per-pair LP.
+        The ground distance and solver backend.  ``"auto"`` (default) —
+        also accepted as ``"linprog_batch"``, stored as ``"auto"`` — is
+        the exact stacked route: the closed-form
+        1-D integral where it applies, otherwise block-diagonal HiGHS LPs
+        over pairs grouped by ``(dimension, K_a, K_b)``.
+        ``"sinkhorn_batch"`` is the tensor-batched entropic approximation
+        on normalised weights.  ``"linprog"`` and ``"simplex"`` solve one
+        exact problem per pair, as :func:`repro.emd.emd` does.
     parallel_backend:
-        ``"serial"`` (default), ``"thread"`` or ``"process"``.  Pools only
-        engage for pairs that need a transportation solve; the 1-D fast
-        path and the batched Sinkhorn solver are already vectorised and
-        always run in-process.
+        ``"serial"`` (default), ``"thread"`` or ``"process"``.  A pool
+        solves the independent chunks of the stacked LPs, or the single
+        pairs of the per-pair backends ``"linprog"`` and ``"simplex"``;
+        the 1-D fast path and the batched Sinkhorn solver always run
+        in-process.
     n_workers:
         Pool size; defaults to the CPU count when a pool backend is
         selected.
@@ -503,14 +562,15 @@ class PairwiseEMDEngine:
     n_fast_path:
         How many of those went through the vectorised 1-D fast path.
     n_cost_cache_hits:
-        How many transportation solves reused a cached ground-distance
-        matrix (pairs whose signatures share a common support).
+        How many solves reused a cached ground-distance matrix (pairs
+        whose signatures share a common support, on the per-pair and
+        Sinkhorn routes).
+    n_linprog_batched:
+        How many pair distances were solved by the stacked exact LP
+        route.
     n_sinkhorn_batched:
         How many pair distances were solved by the tensor-batched
         Sinkhorn solver (grouped or union-embedded supports).
-    n_linprog_batched:
-        How many pair distances were solved by the block-diagonal
-        batched exact LP (grouped or union-embedded supports).
     n_sinkhorn_nonconverged:
         How many of those exhausted ``sinkhorn_max_iter`` without
         meeting the marginal tolerance.  Such distances are still
@@ -521,11 +581,13 @@ class PairwiseEMDEngine:
 
     Notes
     -----
-    Worker pools are created lazily on the first batch that needs one and
-    are *kept alive* across calls, so streaming workloads pay the pool
-    start-up cost once instead of per batch.  Call :meth:`close` (or use
-    the engine as a context manager) to release the pool; a closed engine
-    raises :class:`~repro.exceptions.ConfigurationError` on further use.
+    Worker pools are created lazily on the first batch with two or more
+    stacked chunks (or per-pair solves) and are *kept alive* across
+    calls, so streaming workloads pay the pool start-up cost once
+    instead of per batch.  Call
+    :meth:`close` (or use the engine as a context manager) to release the
+    pool; a closed engine raises
+    :class:`~repro.exceptions.ConfigurationError` on further use.
     """
 
     _COST_CACHE_MAX = 64
@@ -565,7 +627,9 @@ class PairwiseEMDEngine:
         if not np.isfinite(sinkhorn_tol) or sinkhorn_tol <= 0:
             raise ConfigurationError("sinkhorn_tol must be positive and finite")
         self.ground_distance = ground_distance
-        self.backend = backend
+        # "linprog_batch" names the same exact stacked route as "auto";
+        # the name stays accepted so configs and fingerprints keep it.
+        self.backend = "auto" if backend == "linprog_batch" else backend
         self.parallel_backend = parallel_backend
         self.n_workers = n_workers
         self.sinkhorn_epsilon = float(sinkhorn_epsilon)
@@ -657,10 +721,6 @@ class PairwiseEMDEngine:
     # ------------------------------------------------------------------ #
     # Ground-distance caching
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _shares_support(sig_a: Signature, sig_b: Signature) -> bool:
-        return _common_support(sig_a, sig_b)
-
     def _cost_between(self, positions_a: np.ndarray, positions_b: np.ndarray) -> np.ndarray:
         """Cached cross-distance matrix between two support arrays."""
         key = (
@@ -686,7 +746,7 @@ class PairwiseEMDEngine:
         bag, so all their LP solves can run against a single cost matrix
         instead of recomputing cdist per pair.
         """
-        if not self._shares_support(sig_a, sig_b):
+        if not _common_support(sig_a, sig_b):
             return None
         return self._cost_between(sig_a.positions, sig_b.positions)
 
@@ -697,48 +757,30 @@ class PairwiseEMDEngine:
         """Distance for a single pair (counted in the evaluation stats)."""
         return float(self.compute_pairs([(sig_a, sig_b)])[0])
 
-    def _fast_path_eligible(self, sig_a: Signature, sig_b: Signature) -> bool:
-        # The closed-form 1-D path is exact, so it also serves both batched
-        # backends (no point stacking a solve that has a closed form).
-        return (
-            self.backend == "auto" or self.backend in BATCHED_SOLVERS
-        ) and _can_use_1d_fast_path(sig_a, sig_b, self.ground_distance)
+    def _pool_for(self, n_jobs: int) -> Optional["Executor"]:
+        """The worker pool for a batch of ``n_jobs`` jobs, or ``None`` → serial."""
+        if self.parallel_backend == "serial" or n_jobs < 2:
+            return None
+        return self._acquire_pool()
 
-    def _solve_general(
+    def _run_jobs(
         self,
-        pairs: List[Tuple[Signature, Signature]],
-        backend: Optional[EMDSolverName] = None,
-    ) -> List[float]:
-        backend = self.backend if backend is None else backend
-        pool = None
-        if self.parallel_backend != "serial" and len(pairs) >= 2:
-            pool = self._acquire_pool()
-        # A cached cost matrix would be pickled into every job of a process
-        # pool (per-pair IPC instead of a saving); share the cache whenever
-        # execution is actually in-process.  Process workers instead keep a
-        # per-worker cache, building each shared matrix once per worker.
-        use_cache = pool is None or self.parallel_backend != "process"
-        jobs = [
-            (
-                a,
-                b,
-                self.ground_distance,
-                backend,
-                self._cached_cost(a, b) if use_cache else None,
-                not use_cache,
-            )
-            for a, b in pairs
-        ]
+        fn: Callable[[_Job], _Result],
+        jobs: Sequence[_Job],
+        pool: Optional["Executor"],
+        chunksize: int,
+    ) -> List[_Result]:
+        """``[fn(job) for job in jobs]``, through ``pool`` when one is given."""
         if pool is None:
-            return [_emd_pair(job) for job in jobs]
+            return [fn(job) for job in jobs]
         from concurrent.futures import BrokenExecutor
 
         try:
-            return list(pool.map(_emd_pair, jobs, chunksize=8))
+            return list(pool.map(fn, jobs, chunksize=chunksize))
         except (OSError, BrokenExecutor, RuntimeError) as exc:
-            # Library errors raised inside _emd_pair (SolverError and
-            # friends subclass RuntimeError) are computation failures:
-            # propagate them and leave the pool alive.
+            # Library errors raised inside a job (SolverError and friends
+            # subclass RuntimeError) are computation failures: propagate
+            # them and leave the pool alive.
             if isinstance(exc, ReproError):
                 raise
             # The pool itself broke — workers spawn lazily at submit, so
@@ -751,7 +793,7 @@ class PairwiseEMDEngine:
             except Exception:
                 pass
             self._pool = None
-            return [_emd_pair(job) for job in jobs]
+            return [fn(job) for job in jobs]
         except (pickle.PicklingError, AttributeError, TypeError):
             if self.parallel_backend != "process":
                 # Thread pools never pickle, so these are computation
@@ -762,7 +804,28 @@ class PairwiseEMDEngine:
             # can raise them too; the pool is healthy either way, so run
             # this batch serially — a genuine computation error re-raises
             # there — and keep the pool for the next batch.
-            return [_emd_pair(job) for job in jobs]
+            return [fn(job) for job in jobs]
+
+    def _solve_general(self, pairs: List[Tuple[Signature, Signature]]) -> List[float]:
+        """One solve per pair for the per-pair backends, pooled when configured."""
+        pool = self._pool_for(len(pairs))
+        # A cached cost matrix would be pickled into every job of a process
+        # pool (per-pair IPC instead of a saving); share the cache whenever
+        # execution is actually in-process.  Process workers instead keep a
+        # per-worker cache, building each shared matrix once per worker.
+        use_cache = pool is None or self.parallel_backend != "process"
+        jobs = [
+            (
+                a,
+                b,
+                self.ground_distance,
+                self.backend,
+                self._cached_cost(a, b) if use_cache else None,
+                not use_cache,
+            )
+            for a, b in pairs
+        ]
+        return self._run_jobs(_emd_pair, jobs, pool, chunksize=8)
 
     def compute_pairs(self, pairs: Sequence[Tuple[Signature, Signature]]) -> np.ndarray:
         """Distances for a batch of pairs, in input order."""
@@ -771,66 +834,102 @@ class PairwiseEMDEngine:
         out = np.empty(len(pairs), dtype=float)
         if not pairs:
             return out
-        fast = [p for p, (a, b) in enumerate(pairs) if self._fast_path_eligible(a, b)]
-        fast_set = set(fast)
-        general = [p for p in range(len(pairs)) if p not in fast_set]
-        if fast:
-            out[fast] = _batched_wasserstein_1d([pairs[p] for p in fast])
-        if general:
-            if self.backend in BATCHED_SOLVERS:
-                self._solve_batched_backend(pairs, general, out)
-            else:
-                out[general] = self._solve_general([pairs[p] for p in general])
+        everything = range(len(pairs))
+        if self.backend == "sinkhorn_batch":
+            rest = self._solve_fast_path(pairs, everything, out)
+            self._solve_sinkhorn_backend(pairs, rest, out)
+        elif self.backend == "auto":
+            self._solve_exact(pairs, everything, out)
+        else:
+            out[:] = self._solve_general(pairs)
         self.n_evaluations += len(pairs)
-        self.n_fast_path += len(fast)
         return out
 
     # ------------------------------------------------------------------ #
-    # Batched multi-pair routing (tensor Sinkhorn and block-diagonal LP)
+    # Exact routes: 1-D closed form and stacked shape-grouped LPs
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _support_key(positions: np.ndarray) -> tuple:
-        return (positions.shape, positions.tobytes())
+    def _solve_fast_path(
+        self,
+        pairs: List[Tuple[Signature, Signature]],
+        indices: Iterable[int],
+        out: np.ndarray,
+    ) -> List[int]:
+        """Fill the closed-form 1-D pairs among ``indices``; return the rest."""
+        fast: List[int] = []
+        rest: List[int] = []
+        for p in indices:
+            sig_a, sig_b = pairs[p]
+            eligible = _can_use_1d_fast_path(sig_a, sig_b, self.ground_distance)
+            (fast if eligible else rest).append(p)
+        if fast:
+            out[fast] = _batched_wasserstein_1d([pairs[p] for p in fast])
+            self.n_fast_path += len(fast)
+        return rest
 
-    def _translate_group_error(
-        self, exc: SolverError, members: List[int]
-    ) -> SolverError:
-        """Batch-local failure indices -> :meth:`compute_pairs` positions.
+    def _solve_exact(
+        self,
+        pairs: List[Tuple[Signature, Signature]],
+        indices: Iterable[int],
+        out: np.ndarray,
+    ) -> None:
+        """The exact route: 1-D closed form where it applies, stacked LPs elsewhere."""
+        self._solve_stacked(pairs, self._solve_fast_path(pairs, indices, out), out)
 
-        A stacked solve reports which rows of *its* batch failed (or
-        nothing, when the failure is not attributable); either way the
-        caller needs to know which of the pairs it submitted were stacked
-        into the failing solve, so re-raise with the group's positions in
-        the original ``compute_pairs`` batch.
-        """
-        if exc.pair_indices is None:
-            failing = [int(p) for p in members]
-        else:
-            failing = [int(members[i]) for i in exc.pair_indices]
-        return SolverError(
-            f"{exc} [pairs at compute_pairs positions {failing} were part "
-            "of the failing batched solve]",
-            pair_indices=failing,
-        )
-
-    def _solve_batched_backend(
+    def _solve_stacked(
         self,
         pairs: List[Tuple[Signature, Signature]],
         indices: List[int],
         out: np.ndarray,
     ) -> None:
-        """Route pairs through a batched multi-pair solver.
+        """Block-diagonal exact LPs over pairs grouped by ``(d, K_a, K_b)``.
 
-        Pairs are grouped by support signature: every group whose pairs
-        share one common support is solved over a single shared cost
-        kernel — one tensor-batched Sinkhorn iteration
-        (``backend="sinkhorn_batch"``) or one block-diagonal HiGHS LP
-        (``backend="linprog_batch"``).  Mixed-support pairs are each
-        embedded into the union of their own two supports (zero-weight
-        atoms for missing positions) when that union stays small — the
-        d-dimensional common-grid histogram case — with pairs whose
-        unions coincide stacked into one solve; only genuinely
-        irregular supports fall back to the per-pair LP.  Every routing
+        The group key depends on nothing but the pair, so a pair is routed
+        identically no matter which other pairs share the batch — the
+        invariant sharded builds and the cross-stream drain rely on.
+        Each group is cut by :func:`~repro.emd.linprog_batch.chunk_slices`,
+        and a chunk's ``(P, K_a, K_b)`` cost tensor is built only when that
+        chunk is solved, so memory stays O(chunk).  Chunks are independent
+        LPs, so a configured thread/process pool solves them in parallel.
+        ``indices`` are positions into ``pairs``/``out``; a failing chunk
+        re-raises with those positions.
+        """
+        groups: Dict[Tuple[int, int, int], List[int]] = {}
+        for p in indices:
+            sig_a, sig_b = pairs[p]
+            groups.setdefault((sig_a.dimension, sig_a.size, sig_b.size), []).append(p)
+        jobs: List[_StackedJob] = []
+        for (_, size_a, size_b), members in groups.items():
+            for piece in chunk_slices(len(members), size_a, size_b):
+                chunk = members[piece]
+                jobs.append((chunk, [pairs[p] for p in chunk], self.ground_distance))
+        pool = self._pool_for(len(jobs))
+        distances = self._run_jobs(_solve_stacked_chunk, jobs, pool, chunksize=1)
+        for (chunk, _, _), values in zip(jobs, distances):
+            out[chunk] = values
+            self.n_linprog_batched += len(chunk)
+
+    # ------------------------------------------------------------------ #
+    # Tensor-batched Sinkhorn routing over shared grids
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def _support_key(positions: np.ndarray) -> tuple:
+        return (positions.shape, positions.tobytes())
+
+    def _solve_sinkhorn_backend(
+        self,
+        pairs: List[Tuple[Signature, Signature]],
+        indices: List[int],
+        out: np.ndarray,
+    ) -> None:
+        """Route pairs through the tensor-batched Sinkhorn solver.
+
+        Pairs whose two signatures share one support are grouped by that
+        support and solved over a single shared cost kernel.  Mixed-support
+        pairs are each embedded into the union of their own two supports
+        (zero-weight atoms for missing positions) when that union stays
+        small — the d-dimensional common-grid histogram case — with pairs
+        whose unions coincide stacked into one solve.  Irregular supports
+        take the stacked exact route on normalised weights.  Every routing
         decision is pair-local, so distances do not depend on how pairs
         are batched.  ``indices`` are positions into ``pairs``/``out``,
         so failure context and results keep the caller's frame of
@@ -840,9 +939,9 @@ class PairwiseEMDEngine:
         for p in indices:
             by_dim.setdefault(pairs[p][0].dimension, []).append(p)
         for dim_indices in by_dim.values():
-            self._solve_batched_dim_group(pairs, dim_indices, out)
+            self._solve_sinkhorn_dim_group(pairs, dim_indices, out)
 
-    def _solve_group(
+    def _solve_sinkhorn_group(
         self,
         members: List[int],
         cost: np.ndarray,
@@ -850,15 +949,7 @@ class PairwiseEMDEngine:
         weights_b: np.ndarray,
         out: np.ndarray,
     ) -> None:
-        """One stacked solve for a support group, in the active backend."""
-        if self.backend == "linprog_batch":
-            try:
-                result = solve_emd_linprog_batch(cost, weights_a, weights_b)
-            except SolverError as exc:
-                raise self._translate_group_error(exc, members) from exc
-            out[members] = result.distances
-            self.n_linprog_batched += len(members)
-            return
+        """One tensor-batched Sinkhorn solve over a shared support."""
         try:
             result = sinkhorn_transport_batch(
                 cost,
@@ -869,7 +960,7 @@ class PairwiseEMDEngine:
                 tol=self.sinkhorn_tol,
             )
         except SolverError as exc:
-            raise self._translate_group_error(exc, members) from exc
+            raise _translate_group_error(exc, members) from exc
         out[members] = result.distances
         self.n_sinkhorn_batched += len(members)
         self.n_sinkhorn_nonconverged += int(np.count_nonzero(~result.converged))
@@ -886,32 +977,6 @@ class PairwiseEMDEngine:
                 RuntimeWarning,
                 stacklevel=4,
             )
-
-    def _solve_irregular_singles(
-        self,
-        pairs: List[Tuple[Signature, Signature]],
-        singles: List[int],
-        out: np.ndarray,
-    ) -> None:
-        """Per-pair fallback for supports no batched solve can absorb."""
-        if self.backend == "linprog_batch":
-            # Same functional as the stacked blocks (exact
-            # partial-matching EMD), so no normalisation; the per-pair
-            # solves still go through the worker pool when one is
-            # configured.
-            out[singles] = self._solve_general(
-                [pairs[p] for p in singles], backend="linprog"
-            )
-            return
-        # Normalise before the exact solve so the whole backend computes
-        # one functional: the batched entropic path works on
-        # per-side-normalised weights (balanced transport), whereas the
-        # raw LP computes the partial-matching EMD — for unequal-mass
-        # signatures those differ even as epsilon -> 0.
-        out[singles] = self._solve_general(
-            [(pairs[p][0].normalized(), pairs[p][1].normalized()) for p in singles],
-            backend="auto",
-        )
 
     def _union_embedding(
         self, positions_a: np.ndarray, positions_b: np.ndarray
@@ -950,7 +1015,7 @@ class PairwiseEMDEngine:
         self._union_cache[key] = result
         return result
 
-    def _solve_batched_dim_group(
+    def _solve_sinkhorn_dim_group(
         self,
         pairs: List[Tuple[Signature, Signature]],
         indices: List[int],
@@ -974,12 +1039,11 @@ class PairwiseEMDEngine:
             cost = self._cost_between(supports[key_a], supports[key_a])
             weights_a = np.stack([pairs[p][0].weights for p in members])
             weights_b = np.stack([pairs[p][1].weights for p in members])
-            self._solve_group(members, cost, weights_a, weights_b, out)
+            self._solve_sinkhorn_group(members, cost, weights_a, weights_b, out)
 
         # Mixed-support pairs: embed each into the union of its own two
         # supports (histogram signatures with varying bin occupancy over
         # one grid); pairs whose unions coincide share one batched solve.
-        # Genuinely irregular supports fall back to the per-pair LP.
         union_groups: Dict[tuple, List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = {}
         union_supports: Dict[tuple, np.ndarray] = {}
         irregular: List[int] = []
@@ -1004,9 +1068,17 @@ class PairwiseEMDEngine:
                 np.add.at(weights_a[row], idx_a, sig_a.weights)
                 np.add.at(weights_b[row], idx_b, sig_b.weights)
             cost = self._cost_between(union, union)
-            self._solve_group(member_indices, cost, weights_a, weights_b, out)
+            self._solve_sinkhorn_group(member_indices, cost, weights_a, weights_b, out)
         if irregular:
-            self._solve_irregular_singles(pairs, irregular, out)
+            # Normalise before the exact solve so the whole backend
+            # computes one functional: the entropic path works on
+            # per-side-normalised weights (balanced transport), whereas
+            # the raw LP computes the partial-matching EMD — for
+            # unequal-mass signatures those differ even as epsilon -> 0.
+            normalised = list(pairs)
+            for p in irregular:
+                normalised[p] = (pairs[p][0].normalized(), pairs[p][1].normalized())
+            self._solve_exact(normalised, irregular, out)
 
     def solve_pairs(self, pairs: Sequence[Tuple[Signature, Signature]]) -> np.ndarray:
         """Distances for externally-supplied signature pairs, in input order.
@@ -1016,13 +1088,13 @@ class PairwiseEMDEngine:
         cross-stream batched drain, which stacks the pending pairs of
         every active stream into one call so the batched backends solve
         a single support group per round instead of one per stream.
-        Routing is identical to :meth:`compute_pairs` (same
-        support-signature grouping, union embedding, fast paths and
+        Routing is identical to :meth:`compute_pairs` (same routes and
         failure translation), and because every routing decision is
         pair-local the returned distances do not depend on which other
-        pairs share the batch — the invariant that makes a cross-stream
-        stacked solve commit bit-identically to per-stream solves on the
-        exact backends.  A failing batched group re-raises
+        pairs share the batch beyond last-ulp rounding in the stacked
+        HiGHS solves — the invariant that lets a cross-stream stacked
+        solve commit the per-stream scores to within 1e-12 on the exact
+        backends.  A failing batched group re-raises
         :class:`~repro.exceptions.SolverError` with
         ``pair_indices`` in *this call's* positions, so callers can map
         failures back to whichever source contributed each pair.

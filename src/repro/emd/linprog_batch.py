@@ -2,11 +2,11 @@
 
 :func:`repro.emd.linprog_backend.solve_emd_linprog` encodes one
 transportation problem (paper Eqs. 7-11) per :func:`scipy.optimize.linprog`
-call; a band build over histogram signatures issues thousands of such
-calls against one shared ground-cost matrix, and the per-call HiGHS
-set-up cost (model construction, presolve, basis factorisation) dominates
-the actual pivoting on these small problems.  This module stacks ``P``
-same-support pairs into a *single* sparse block-diagonal LP:
+call; a band build issues thousands of such calls, and the per-call
+HiGHS set-up cost (model construction, presolve, basis factorisation)
+dominates the actual pivoting on these small problems.  This module
+stacks ``P`` pairs of one shape ``(m, n)`` — sharing one ground-cost
+matrix or each with its own — into a *single* sparse block-diagonal LP:
 
 * one variable block of ``m * n`` flows per pair, so the constraint
   matrix is block diagonal with ``P`` independent supply / demand /
@@ -32,7 +32,7 @@ chunk, so callers never lose track of which problems were in flight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -44,9 +44,30 @@ from .numerics import check_batch_shapes, check_weight_rows
 from .transportation import TransportPlan
 
 #: Cap on the number of LP variables (``P_chunk * m * n``) assembled into
-#: one HiGHS model.  Chosen empirically: dual-simplex time per pair is
-#: flat up to a few thousand variables and grows superlinearly after.
-_MAX_BATCH_VARIABLES = 8_192
+#: one HiGHS model.  Dual-simplex time per pair is flat up to a few
+#: thousand variables and grows superlinearly after, while HiGHS's native
+#: memory grows with the model: on a default-config k-means band (K=8,
+#: 64 variables per pair) a cap of 8,192 raised a ``detect()`` run's peak
+#: RSS by ~12 MB (88 -> 100 MB on 150 1-D bags), whereas 2,048 kept it
+#: within ~3 MB at an unchanged band-build time.
+_MAX_BATCH_VARIABLES = 2_048
+
+
+def chunk_slices(
+    n_pairs: int, m: int, n: int, max_batch_variables: Optional[int] = None
+) -> Iterator[slice]:
+    """Slices that cut ``n_pairs`` stacked ``(m, n)`` problems into LP chunks.
+
+    Each chunk holds at most ``max_batch_variables`` flow variables
+    (default: the module cap), and at least one pair.  The one chunking
+    rule for :func:`solve_emd_linprog_batch` and for callers that build
+    each chunk's inputs only when they solve it.
+    """
+    if max_batch_variables is None:
+        max_batch_variables = _MAX_BATCH_VARIABLES
+    step = max(1, max_batch_variables // (m * n))
+    for start in range(0, n_pairs, step):
+        yield slice(start, min(start + step, n_pairs))
 
 
 @dataclass(frozen=True)
@@ -235,9 +256,8 @@ def solve_emd_linprog_batch(
     targets = np.minimum(supply.sum(axis=1), demand.sum(axis=1))
     solvable = np.flatnonzero(targets > 0)
 
-    chunk = max(1, max_batch_variables // (m * n))
-    for start in range(0, solvable.size, chunk):
-        members = solvable[start : start + chunk]
+    for piece in chunk_slices(solvable.size, m, n, max_batch_variables):
+        members = solvable[piece]
         flows = _solve_chunk(
             cost if cost.ndim == 2 else cost[members],
             supply[members],

@@ -21,17 +21,17 @@ single-process build.  Three pieces:
   ``mode="process"`` the signature arrays are placed in
   :mod:`multiprocessing.shared_memory` *once* and each worker attaches
   to them at start-up, so jobs carry only a shard id instead of pickled
-  signatures, and the per-pair-LP fallback for irregular supports runs
-  on truly parallel processes instead of GIL-bound threads.  With a
+  signatures, and each shard's solves run on truly parallel processes
+  instead of GIL-bound threads.  With a
   ``checkpoint_dir``, every finished shard is written as an ``.npz``
   stamped with the plan hash and an engine-config fingerprint;
   re-running after a crash recomputes only the missing shards and
   refuses (:class:`~repro.exceptions.CheckpointError`) to merge
   checkpoints produced under a different plan or solver configuration.
 * :func:`merge_shards` — reassembles per-shard value vectors into the
-  banded matrix.  Every backend solves each pair deterministically and
-  independently of how pairs are batched, so the merged band equals the
-  single-process build to float equality (tested at 1e-12).
+  banded matrix.  Every backend routes each pair independently of how
+  pairs are batched, so the merged band equals the single-process build
+  up to last-ulp rounding in the stacked LP solves (tested at 1e-12).
 """
 
 from __future__ import annotations

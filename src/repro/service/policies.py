@@ -42,9 +42,10 @@ collects one pending bag per active stream, stacks every (new, window)
 signature pair across streams into one
 :meth:`~repro.emd.PairwiseEMDEngine.solve_pairs` call, then commits each
 stream independently.  Distances are pair-local in the engine's routing,
-so the batched drain commits bit-identically to the sequential drain on
-the exact backends while paying the batched solver's setup cost once per
-round instead of once per stream.
+so the batched drain commits to within 1e-12 of the sequential drain on
+the exact backends (a stacked LP may move the last ulp with its chunk's
+composition) while paying the solver's setup cost once per round
+instead of once per stream.
 """
 
 from __future__ import annotations

@@ -340,8 +340,8 @@ class StreamSupervisor:
         the distances back, and commits each stream independently — so
         the batched backends amortise their setup over the whole fleet
         instead of paying it per stream.  The engine's routing is
-        pair-local, so on the exact backends every stream commits
-        bit-identically to a sequential :meth:`drain`.
+        pair-local, so on the exact backends every stream commits to
+        within 1e-12 of a sequential :meth:`drain`.
 
         Fault isolation survives the stacking: a
         :class:`~repro.exceptions.SolverError` from the stacked solve is

@@ -167,11 +167,13 @@ class TestPairwiseEMDEngine:
 
     @pytest.mark.parametrize("parallel_backend", ["thread", "process"])
     def test_parallel_backends_match_serial(self, rng, parallel_backend):
+        # The pool serves only the per-pair backends.
         sigs = make_signatures(rng, n=8)
-        serial = PairwiseEMDEngine().banded_matrix(sigs, 4)
-        parallel = PairwiseEMDEngine(
-            parallel_backend=parallel_backend, n_workers=2
-        ).banded_matrix(sigs, 4)
+        serial = PairwiseEMDEngine(backend="linprog").banded_matrix(sigs, 4)
+        with PairwiseEMDEngine(
+            backend="linprog", parallel_backend=parallel_backend, n_workers=2
+        ) as engine:
+            parallel = engine.banded_matrix(sigs, 4)
         assert np.allclose(serial.to_dense(), parallel.to_dense(), atol=1e-10)
 
     def test_invalid_parallel_backend_rejected(self):
@@ -186,7 +188,7 @@ class TestEngineLifecycle:
     def test_pool_persists_across_batches(self, rng):
         sigs = make_signatures(rng, n=6)
         pairs = [(sigs[i], sigs[i + 1]) for i in range(5)]
-        engine = PairwiseEMDEngine(parallel_backend="thread", n_workers=2)
+        engine = PairwiseEMDEngine(backend="linprog", parallel_backend="thread", n_workers=2)
         engine.compute_pairs(pairs)
         first_pool = engine._pool
         assert first_pool is not None
@@ -196,7 +198,7 @@ class TestEngineLifecycle:
 
     def test_close_shuts_down_pool_and_blocks_reuse(self, rng):
         sigs = make_signatures(rng, n=4)
-        engine = PairwiseEMDEngine(parallel_backend="thread", n_workers=2)
+        engine = PairwiseEMDEngine(backend="linprog", parallel_backend="thread", n_workers=2)
         engine.compute_pairs([(sigs[0], sigs[1]), (sigs[1], sigs[2])])
         engine.close()
         assert engine.closed
@@ -215,7 +217,7 @@ class TestEngineLifecycle:
 
     def test_context_manager_closes_on_exit(self, rng):
         sigs = make_signatures(rng, n=4)
-        with PairwiseEMDEngine(parallel_backend="thread", n_workers=2) as engine:
+        with PairwiseEMDEngine(backend="linprog", parallel_backend="thread", n_workers=2) as engine:
             values = engine.compute_pairs([(sigs[0], sigs[1]), (sigs[2], sigs[3])])
             assert values.shape == (2,)
         assert engine.closed
@@ -234,7 +236,7 @@ class TestEngineLifecycle:
 
         sigs = make_signatures(rng, n=4)
         pairs = [(sigs[0], sigs[1]), (sigs[1], sigs[2])]
-        engine = PairwiseEMDEngine(parallel_backend="thread", n_workers=2)
+        engine = PairwiseEMDEngine(backend="linprog", parallel_backend="thread", n_workers=2)
         engine.compute_pairs(pairs)
         pool = engine._pool
 
@@ -265,7 +267,7 @@ class TestEngineLifecycle:
     def test_thread_spawn_failure_falls_back_to_serial(self, rng, monkeypatch):
         sigs = make_signatures(rng, n=4)
         pairs = [(sigs[0], sigs[1]), (sigs[1], sigs[2])]
-        engine = PairwiseEMDEngine(parallel_backend="thread", n_workers=2)
+        engine = PairwiseEMDEngine(backend="linprog", parallel_backend="thread", n_workers=2)
         engine.compute_pairs(pairs)  # create the pool
         # Executors spawn workers lazily at submit; emulate a thread-capped
         # environment where map itself fails.
@@ -344,7 +346,7 @@ class TestGroundDistanceCache:
     def test_common_support_pairs_hit_cache(self, rng):
         sigs = self.make_common_support_signatures(rng)
         pairs = [(sigs[i], sigs[j]) for i in range(6) for j in range(i + 1, 6)]
-        engine = PairwiseEMDEngine()
+        engine = PairwiseEMDEngine(backend="linprog")
         values = engine.compute_pairs(pairs)
         # One build for the shared support, every other pair reuses it.
         assert engine.n_cost_cache_hits == len(pairs) - 1
@@ -353,7 +355,7 @@ class TestGroundDistanceCache:
 
     def test_distinct_supports_do_not_hit_cache(self, rng):
         sigs = make_signatures(rng, n=5)  # independent supports per bag
-        engine = PairwiseEMDEngine()
+        engine = PairwiseEMDEngine(backend="linprog")
         engine.compute_pairs([(sigs[i], sigs[i + 1]) for i in range(4)])
         assert engine.n_cost_cache_hits == 0
 
@@ -361,7 +363,7 @@ class TestGroundDistanceCache:
         # parallel_backend="process" with one worker never spawns a pool,
         # so execution is in-process and the cache should still be shared.
         sigs = self.make_common_support_signatures(rng, n=4)
-        engine = PairwiseEMDEngine(parallel_backend="process", n_workers=1)
+        engine = PairwiseEMDEngine(backend="linprog", parallel_backend="process", n_workers=1)
         pairs = [(sigs[i], sigs[j]) for i in range(4) for j in range(i + 1, 4)]
         values = engine.compute_pairs(pairs)
         assert engine.n_cost_cache_hits == len(pairs) - 1
@@ -374,8 +376,8 @@ class TestGroundDistanceCache:
         # must produce the same distances as the serial cached path.
         sigs = self.make_common_support_signatures(rng, n=6)
         pairs = [(sigs[i], sigs[j]) for i in range(6) for j in range(i + 1, 6)]
-        serial = PairwiseEMDEngine().compute_pairs(pairs)
-        with PairwiseEMDEngine(parallel_backend="process", n_workers=2) as engine:
+        serial = PairwiseEMDEngine(backend="linprog").compute_pairs(pairs)
+        with PairwiseEMDEngine(backend="linprog", parallel_backend="process", n_workers=2) as engine:
             parallel = engine.compute_pairs(pairs)
         assert np.allclose(serial, parallel, atol=1e-10)
 
@@ -387,7 +389,7 @@ class TestGroundDistanceCache:
         sigs = self.make_common_support_signatures(rng, n=3)
         batch_mod._worker_cost_cache.clear()
         jobs = [
-            (a, b, "euclidean", "auto", None, True)
+            (a, b, "euclidean", "linprog", None, True)
             for a, b in [(sigs[0], sigs[1]), (sigs[1], sigs[2])]
         ]
         values = [batch_mod._emd_pair(job) for job in jobs]
@@ -398,7 +400,7 @@ class TestGroundDistanceCache:
 
     def test_cache_persists_across_batches(self, rng):
         sigs = self.make_common_support_signatures(rng, n=4)
-        engine = PairwiseEMDEngine()
+        engine = PairwiseEMDEngine(backend="linprog")
         engine.compute_pairs([(sigs[0], sigs[1])])
         assert engine.n_cost_cache_hits == 0
         engine.compute_pairs([(sigs[2], sigs[3])])

@@ -349,10 +349,14 @@ class TestPoisonPairs:
         reference = reference_band(signatures, 6)
         band_values = np.asarray(band.band)
         # Exactly one more NaN than the band's structural padding, and
-        # every solved entry still matches the reference exactly.
+        # every solved entry still matches the reference to PARITY_TOL
+        # (stacked HiGHS solves may move the last ulp with the batch
+        # composition, which the poison-pair rescue changes).
         assert np.isnan(band_values).sum() == np.isnan(reference).sum() + 1
         solved = ~np.isnan(band_values)
-        assert np.array_equal(band_values[solved], reference[solved])
+        np.testing.assert_allclose(
+            band_values[solved], reference[solved], rtol=0, atol=PARITY_TOL
+        )
 
     def test_strict_raises_with_manifest_attached(self):
         signatures = histogram_signatures(18, seed=6)

@@ -45,7 +45,7 @@ def histogram_signatures(n_bags, side=4, dim=2, seed=0):
 
 
 def irregular_signatures(n_bags, seed=0):
-    """k-means-style signatures: every support distinct (per-pair LP path)."""
+    """k-means-style signatures: every support distinct (stacked LP route)."""
     rng = np.random.default_rng(seed)
     bags = [rng.normal(0.0, 1.0, size=(25, 2)) for _ in range(n_bags)]
     builder = SignatureBuilder("kmeans", n_clusters=4, random_state=seed)
@@ -236,9 +236,9 @@ class TestMergeParity:
         merged = runner.run(signatures)
         assert np.nanmax(np.abs(merged.band - reference.band)) <= MERGE_TOL
 
-    def test_irregular_band_uses_per_pair_lp_and_matches(self):
-        # k-means signatures: all supports distinct, so every backend's
-        # irregular per-pair LP fallback is what actually runs.
+    def test_irregular_band_uses_stacked_lp_and_matches(self):
+        # k-means signatures: all supports distinct, so the stacked exact
+        # LPs grouped by (d, K_a, K_b) are what actually runs.
         signatures = irregular_signatures(18, seed=5)
         bandwidth = 5
         reference = PairwiseEMDEngine(backend="auto").banded_matrix(

@@ -134,8 +134,8 @@ class TestExactSolverParity:
     @pytest.mark.parametrize("backend", EXACT_BACKENDS)
     def test_engine_backend_matches_reference_in_one_batch(self, backend, reference):
         # The whole corpus in a single compute_pairs call exercises the
-        # batched backends' support grouping and union embedding across
-        # mixed dimensionalities.
+        # stacked route's (d, K_a, K_b) grouping across mixed shapes and
+        # dimensionalities.
         pairs = [CORPUS[name] for name in CASE_NAMES]
         with PairwiseEMDEngine(backend=backend) as engine:
             distances = engine.compute_pairs(pairs)
@@ -293,9 +293,9 @@ class TestBatchedGroupErrorContext:
         self, backend, monkeypatch
     ):
         # Batch layout: positions 0, 2 and 3 form one common-support
-        # group; position 1 is an irregular pair that would take the
-        # per-pair fallback.  A failure attributed to row 1 of the
-        # stacked group must surface as compute_pairs position 2.
+        # group; position 1 is an irregular pair solved in a group of
+        # its own.  A failure attributed to row 1 of the first stacked
+        # group must surface as compute_pairs position 2.
         from repro.emd import batch as batch_module
 
         rng = np.random.default_rng(0)

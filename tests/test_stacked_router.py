@@ -1,0 +1,311 @@
+"""The stacked exact route of :class:`~repro.emd.PairwiseEMDEngine`.
+
+Under ``backend="auto"`` (also named ``"linprog_batch"``) every pair
+that misses the closed-form 1-D integral is grouped by ``(dimension, K_a, K_b)`` and
+solved in block-diagonal HiGHS LPs.  These tests pin that route to:
+
+* an LP-free oracle — for equal-mass signatures with integer counts, the
+  EMD equals an assignment problem over unit masses, which
+  :func:`scipy.optimize.linear_sum_assignment` solves exactly;
+* the per-pair LP :func:`~repro.emd.solve_emd_linprog`, with unequal
+  masses and zero-weight atoms;
+* itself under re-batching (full, split, one pair at a time);
+* failure attribution per shape group, with and without a worker pool;
+* the worker pool: pooled chunks equal the serial band, and no worker
+  process survives ``close()``.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+
+from repro.core import BagChangePointDetector
+from repro.emd import PairwiseEMDEngine, emd, solve_emd_linprog, solve_emd_linprog_batch
+from repro.emd.ground_distance import cross_distance_matrix
+from repro.exceptions import SolverError
+from repro.signatures import Signature
+
+ORACLE_TOL = 1e-9
+PARITY_TOL = 1e-12
+
+
+def assignment_emd(sig_a, sig_b, ground_distance="euclidean"):
+    """Exact EMD of two equal-mass integer-count signatures, without an LP.
+
+    Each atom of weight ``c`` becomes ``c`` unit-mass copies; the
+    transportation polytope with integer margins has integral vertices,
+    so the optimal flow is an optimal assignment between the copies.
+    """
+    counts_a = sig_a.weights.astype(int)
+    counts_b = sig_b.weights.astype(int)
+    assert np.array_equal(counts_a, sig_a.weights)
+    assert np.array_equal(counts_b, sig_b.weights)
+    assert counts_a.sum() == counts_b.sum()
+    points_a = np.repeat(sig_a.positions, counts_a, axis=0)
+    points_b = np.repeat(sig_b.positions, counts_b, axis=0)
+    cost = cross_distance_matrix(points_a, points_b, ground_distance)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() / counts_a.sum())
+
+
+def integer_signature(rng, size, dimension, total):
+    """``size`` atoms carrying ``total`` unit counts, every atom at least one."""
+    counts = np.ones(size, dtype=int)
+    np.add.at(counts, rng.integers(0, size, total - size), 1)
+    positions = rng.integers(-4, 5, size=(size, dimension)) + rng.uniform(
+        -0.5, 0.5, size=(size, dimension)
+    )
+    return Signature(positions, counts.astype(float))
+
+
+@st.composite
+def equal_mass_batches(draw):
+    """A batch of equal-mass integer-count pairs with mixed shapes."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    dimension = draw(st.sampled_from([1, 2, 3]))
+    shapes = draw(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=8
+        )
+    )
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for size_a, size_b in shapes:
+        total = max(size_a, size_b) + int(rng.integers(0, 8))
+        pairs.append(
+            (
+                integer_signature(rng, size_a, dimension, total),
+                integer_signature(rng, size_b, dimension, total),
+            )
+        )
+    return pairs
+
+
+def random_pairs(rng, n_pairs, dimension=2):
+    """Real-valued pairs with unequal masses and a handful of shapes."""
+    pairs = []
+    for _ in range(n_pairs):
+        size_a, size_b = rng.integers(1, 7, size=2)
+        pairs.append(
+            (
+                Signature(
+                    rng.normal(size=(size_a, dimension)), rng.uniform(0.1, 3.0, size_a)
+                ),
+                Signature(
+                    rng.normal(size=(size_b, dimension)), rng.uniform(0.1, 3.0, size_b)
+                ),
+            )
+        )
+    return pairs
+
+
+# ---------------------------------------------------------------------- #
+# Independent oracle
+# ---------------------------------------------------------------------- #
+class TestAssignmentOracle:
+    def test_oracle_matches_hand_solved_pair(self):
+        sig_a = Signature(np.array([[0.0], [1.0]]), np.array([2.0, 1.0]))
+        sig_b = Signature(np.array([[0.0], [3.0]]), np.array([1.0, 2.0]))
+        # One unit stays at 0; one unit moves 0 -> 3 and one 1 -> 3.
+        assert assignment_emd(sig_a, sig_b) == pytest.approx(5.0 / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("ground_distance", ["euclidean", "cityblock", "sqeuclidean"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(pairs=equal_mass_batches())
+    def test_engine_matches_oracle(self, ground_distance, pairs):
+        engine = PairwiseEMDEngine(ground_distance=ground_distance)
+        values = engine.compute_pairs(pairs)
+        expected = [assignment_emd(a, b, ground_distance) for a, b in pairs]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=ORACLE_TOL)
+        # Every pair took one of the two exact routes; none went per-pair.
+        assert engine.n_fast_path + engine.n_linprog_batched == len(pairs)
+
+    def test_mixed_shapes_share_one_batch(self):
+        rng = np.random.default_rng(3)
+        pairs = []
+        for dimension in (1, 2, 3):
+            for size_a, size_b in ((2, 5), (5, 2), (4, 4), (1, 6)):
+                pairs.append(
+                    (
+                        integer_signature(rng, size_a, dimension, 9),
+                        integer_signature(rng, size_b, dimension, 9),
+                    )
+                )
+        engine = PairwiseEMDEngine(ground_distance="sqeuclidean")
+        values = engine.compute_pairs(pairs)
+        expected = [assignment_emd(a, b, "sqeuclidean") for a, b in pairs]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=ORACLE_TOL)
+        # sqeuclidean has no closed form, so all twelve pairs were stacked.
+        assert engine.n_linprog_batched == len(pairs)
+
+
+# ---------------------------------------------------------------------- #
+# Per-pair LP parity
+# ---------------------------------------------------------------------- #
+class TestPerPairParity:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_unequal_masses_match_per_pair_lp(self, dimension):
+        rng = np.random.default_rng(10 + dimension)
+        pairs = random_pairs(rng, 40, dimension)
+        engine = PairwiseEMDEngine()
+        values = engine.compute_pairs(pairs)
+        expected = [emd(a, b, backend="linprog") for a, b in pairs]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=PARITY_TOL)
+        # Unequal masses miss the closed form even in 1-D.
+        assert engine.n_linprog_batched == len(pairs)
+
+    def test_linprog_batch_is_a_name_for_auto(self):
+        rng = np.random.default_rng(12)
+        pairs = random_pairs(rng, 20)
+        engine = PairwiseEMDEngine(backend="linprog_batch")
+        assert engine.backend == "auto"
+        np.testing.assert_array_equal(
+            engine.compute_pairs(pairs), PairwiseEMDEngine().compute_pairs(pairs)
+        )
+
+    def test_zero_weight_atoms_match_per_pair_lp(self):
+        rng = np.random.default_rng(4)
+        pairs, expected = [], []
+        for _ in range(20):
+            positions_a = rng.normal(size=(5, 2))
+            positions_b = rng.normal(size=(4, 2))
+            weights_a = rng.uniform(0.5, 2.0, 5)
+            weights_b = rng.uniform(0.5, 2.0, 4)
+            weights_a[rng.integers(0, 5)] = 0.0
+            weights_b[rng.integers(0, 4)] = 0.0
+            cost = cross_distance_matrix(positions_a, positions_b, "euclidean")
+            plan = solve_emd_linprog(cost, weights_a, weights_b)
+            expected.append(plan.cost / plan.total_flow)
+            pairs.append(
+                (Signature(positions_a, weights_a), Signature(positions_b, weights_b))
+            )
+        values = PairwiseEMDEngine().compute_pairs(pairs)
+        np.testing.assert_allclose(values, expected, rtol=0, atol=PARITY_TOL)
+
+    def test_solver_zero_weight_rows_match_per_pair_lp(self):
+        # The stacked solver itself, fed per-pair cost tensors whose
+        # supply/demand rows carry zero-weight atoms.
+        rng = np.random.default_rng(5)
+        cost = rng.uniform(0.0, 3.0, size=(30, 4, 6))
+        supply = rng.uniform(0.5, 2.0, size=(30, 4))
+        demand = rng.uniform(0.5, 2.0, size=(30, 6))
+        supply[rng.random(supply.shape) < 0.25] = 0.0
+        demand[rng.random(demand.shape) < 0.25] = 0.0
+        batch = solve_emd_linprog_batch(cost, supply, demand)
+        for p in range(30):
+            plan = solve_emd_linprog(cost[p], supply[p], demand[p])
+            expected = plan.cost / plan.total_flow if plan.total_flow > 0 else 0.0
+            assert batch.distances[p] == pytest.approx(expected, abs=PARITY_TOL)
+
+
+# ---------------------------------------------------------------------- #
+# Batch composition
+# ---------------------------------------------------------------------- #
+class TestBatchComposition:
+    def test_full_split_and_single_batches_agree(self):
+        rng = np.random.default_rng(6)
+        pairs = random_pairs(rng, 60)
+        full = PairwiseEMDEngine().compute_pairs(pairs)
+        split_engine = PairwiseEMDEngine()
+        split = np.concatenate(
+            [split_engine.compute_pairs(pairs[:17]), split_engine.compute_pairs(pairs[17:])]
+        )
+        single_engine = PairwiseEMDEngine()
+        single = np.array([single_engine.compute(a, b) for a, b in pairs])
+        np.testing.assert_allclose(split, full, rtol=0, atol=PARITY_TOL)
+        np.testing.assert_allclose(single, full, rtol=0, atol=PARITY_TOL)
+
+    def test_chunks_beyond_the_variable_cap_agree(self, monkeypatch):
+        # Force one pair per stacked LP: a chunk boundary must not move
+        # any distance beyond the exact-backend contract.
+        from repro.emd import linprog_batch
+
+        rng = np.random.default_rng(7)
+        pairs = random_pairs(rng, 30)
+        full = PairwiseEMDEngine().compute_pairs(pairs)
+        monkeypatch.setattr(linprog_batch, "_MAX_BATCH_VARIABLES", 1)
+        chunked = PairwiseEMDEngine().compute_pairs(pairs)
+        np.testing.assert_allclose(chunked, full, rtol=0, atol=PARITY_TOL)
+
+
+# ---------------------------------------------------------------------- #
+# Failure attribution
+# ---------------------------------------------------------------------- #
+class TestShapeGroupFailures:
+    def make_two_group_batch(self):
+        rng = np.random.default_rng(8)
+        small = lambda: Signature(rng.normal(size=(3, 2)), rng.uniform(0.5, 2.0, 3))
+        large_a = lambda: Signature(rng.normal(size=(4, 2)), rng.uniform(0.5, 2.0, 4))
+        large_b = lambda: Signature(rng.normal(size=(5, 2)), rng.uniform(0.5, 2.0, 5))
+        # Positions 0, 2, 4 form the (2, 3, 3) group; 1 and 3 form (2, 4, 5).
+        return [
+            (small(), small()),
+            (large_a(), large_b()),
+            (small(), small()),
+            (large_a(), large_b()),
+            (small(), small()),
+        ]
+
+    @pytest.mark.parametrize("parallel_backend", ["serial", "thread"])
+    @pytest.mark.parametrize(
+        "reported, expected", [(None, (1, 3)), ([1], (3,)), ([0], (1,))]
+    )
+    def test_failure_reports_its_groups_positions(
+        self, parallel_backend, reported, expected, monkeypatch
+    ):
+        from repro.emd import batch as batch_module
+
+        real_solver = batch_module.solve_emd_linprog_batch
+
+        def failing_for_large_group(cost, supply, demand, **kwargs):
+            if supply.shape[1] == 4:
+                raise SolverError("synthetic group failure", pair_indices=reported)
+            return real_solver(cost, supply, demand, **kwargs)
+
+        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_for_large_group)
+        with PairwiseEMDEngine(parallel_backend=parallel_backend, n_workers=2) as engine:
+            with pytest.raises(SolverError) as excinfo:
+                engine.compute_pairs(self.make_two_group_batch())
+        assert excinfo.value.pair_indices == expected
+
+
+# ---------------------------------------------------------------------- #
+# Worker pool
+# ---------------------------------------------------------------------- #
+class TestWorkerPool:
+    def test_thread_pool_solves_the_chunks_like_serial(self):
+        rng = np.random.default_rng(11)
+        pairs = random_pairs(rng, 200)
+        reference = PairwiseEMDEngine().compute_pairs(pairs)
+        with PairwiseEMDEngine(parallel_backend="thread", n_workers=2) as engine:
+            values = engine.compute_pairs(pairs)
+            assert engine._pool is not None
+        np.testing.assert_array_equal(values, reference)
+        assert engine.n_linprog_batched == len(pairs)
+
+    def test_process_backend_matches_serial_and_leaves_no_children(self):
+        rng = np.random.default_rng(9)
+        bags = [rng.normal(0.0, 1.0, size=(40, 2)) for _ in range(10)]
+        bags += [rng.normal(2.5, 1.0, size=(40, 2)) for _ in range(10)]
+        kwargs = dict(
+            tau=4, tau_test=4, signature_method="kmeans", n_bootstrap=20, random_state=0
+        )
+        with BagChangePointDetector(**kwargs) as serial:
+            reference = serial.detect(bags, return_distance_matrix=True)
+        detector = BagChangePointDetector(
+            parallel_backend="process", n_workers=2, **kwargs
+        )
+        result = detector.detect(bags, return_distance_matrix=True)
+        # The band's stacked chunks went to the pool's worker processes.
+        assert multiprocessing.active_children() != []
+        detector.close()
+        np.testing.assert_allclose(
+            result.emd_matrix, reference.emd_matrix, rtol=0, atol=PARITY_TOL
+        )
+        assert multiprocessing.active_children() == []
