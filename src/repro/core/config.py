@@ -91,10 +91,15 @@ class DetectorConfig:
         of ``"auto"``/``"linprog_batch"``, or the single pairs of
         ``"linprog"``/``"simplex"``; the 1-D closed form and the batched
         Sinkhorn solver always run in-process.  With ``n_shards`` set,
-        ``"process"`` runs the shards in worker processes instead.
+        ``"process"`` runs the shards in worker processes instead.  The
+        offline ``detect()`` also runs its k-means refinement on the
+        engine's pool; seeding stays serial, so signatures and the
+        generator's state match a serial run.  k-medoids, LVQ and the
+        online ``push`` stay per bag.
     n_workers:
-        Worker-pool size for ``"thread"``/``"process"`` (and for the
-        sharded band build); ``None`` uses the CPU count.
+        Worker-pool size for ``"thread"``/``"process"`` (the band build
+        and the k-means refinement, and the sharded band build);
+        ``None`` uses the CPU count.
     n_shards:
         When set (> 1), the offline detector builds the EMD band
         through :class:`repro.emd.orchestrator.ShardOrchestrator`: the

@@ -102,7 +102,12 @@ class BagChangePointDetector:
     # Signature construction
     # ------------------------------------------------------------------ #
     def build_signatures(self, bags: BagsInput) -> List[Signature]:
-        """Turn the input into a list of signatures, one per time step."""
+        """Turn the input into a list of signatures, one per time step.
+
+        k-means bags are seeded serially, in bag order, and refined on
+        the EMD engine's worker pool (when ``parallel_backend`` has one),
+        so signatures and the generator's state match a bag-by-bag build.
+        """
         if isinstance(bags, BagSequence):
             arrays = bags.arrays()
         elif len(bags) > 0 and isinstance(bags[0], Signature):
@@ -116,7 +121,7 @@ class BagChangePointDetector:
             histogram_range=self.config.histogram_range,
             random_state=self._rng,
         )
-        return builder.build_sequence(arrays)
+        return builder.build_sequence(arrays, mapper=self._engine.map)
 
     # ------------------------------------------------------------------ #
     # Distance computation

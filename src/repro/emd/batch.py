@@ -806,6 +806,18 @@ class PairwiseEMDEngine:
             # there — and keep the pool for the next batch.
             return [fn(job) for job in jobs]
 
+    def map(self, fn: Callable[[_Job], _Result], jobs: Sequence[_Job]) -> List[_Result]:
+        """``[fn(job) for job in jobs]`` on the engine's worker pool.
+
+        Lets other stages of a run (the offline detector's k-means
+        refinement) share the pool the band build uses, with the same
+        lazy start, broken-pool → serial fallback and :meth:`close`.
+        Under ``parallel_backend="process"``, ``fn`` must be a picklable
+        module-level function.
+        """
+        self._check_open()
+        return self._run_jobs(fn, jobs, self._pool_for(len(jobs)), chunksize=1)
+
     def _solve_general(self, pairs: List[Tuple[Signature, Signature]]) -> List[float]:
         """One solve per pair for the per-pair backends, pooled when configured."""
         pool = self._pool_for(len(pairs))

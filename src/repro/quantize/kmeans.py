@@ -4,11 +4,19 @@ This is the default quantiser for building signatures from bags of
 multi-dimensional vectors (paper Section 3.1).  The implementation uses
 Lloyd's algorithm with k-means++ initialisation and supports multiple
 restarts, returning the solution with the lowest inertia.
+
+:meth:`KMeans.fit` is two halves.  :meth:`KMeans.seed` draws the
+k-means++ starts and is the only part that touches the random
+generator; :func:`refine` runs the vectorised Lloyd iterations (one
+one-hot matmul per centroid update, ``‖x‖²`` computed once per bag) and
+never draws.  The offline detector therefore seeds every bag serially
+and runs :func:`refine` on its worker pool, with the same results as a
+bag-by-bag build; k-medoids, LVQ and the online ``push`` stay per bag.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -55,38 +63,91 @@ def kmeans_plusplus_init(
     return centers
 
 
-def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Return the index of the nearest centre for each row of ``data``."""
-    # (n, K) squared distances computed without forming the full (n, K, d) cube.
-    sq = (
-        np.sum(data**2, axis=1)[:, None]
-        - 2.0 * data @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
+def _assign(
+    data: np.ndarray, centers: np.ndarray, data_sq: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Return the index of the nearest centre for each row of ``data``.
+
+    ``data_sq`` is ``np.sum(data**2, axis=1)``; pass it when assigning the
+    same data repeatedly so it is computed once.
+    """
+    if data_sq is None:
+        data_sq = np.sum(data**2, axis=1)
+    # (n, K) squared distances ‖x‖² − 2 x·c + ‖c‖², computed without
+    # forming the full (n, K, d) cube; scaling by −2 is exact, so folding
+    # it into the centres changes no bit.
+    sq = data @ (-2.0 * centers).T
+    sq += data_sq[:, None]
+    sq += np.sum(centers**2, axis=1)
     return np.argmin(sq, axis=1)
 
 
-def lloyd_iteration(
-    data: np.ndarray, centers: np.ndarray, rng: np.random.Generator
+def _lloyd(
+    data: np.ndarray,
+    data_sq: np.ndarray,
+    centers: np.ndarray,
+    max_iter: int,
+    tol: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Run one Lloyd step: assign points, then recompute centres.
+    """Lloyd iterations from ``centers`` until the inertia decrease is ``<= tol``.
 
-    Empty clusters are re-seeded with the point farthest from its assigned
-    centre so that the requested number of clusters is preserved whenever
-    the data contains enough distinct points.
+    Each step moves every centre to the mean of its members through one
+    one-hot matmul.  An empty cluster is re-seeded with the point farthest
+    from its previous centre, so the requested number of clusters survives
+    whenever the data holds enough distinct points.  The step's closing
+    assignment is the next step's opening one.
     """
-    labels = _assign(data, centers)
-    new_centers = centers.copy()
-    for k in range(centers.shape[0]):
-        members = data[labels == k]
-        if len(members) > 0:
-            new_centers[k] = members.mean(axis=0)
-        else:
-            distances = np.sum((data - centers[labels]) ** 2, axis=1)
-            new_centers[k] = data[int(np.argmax(distances))]
-    labels = _assign(data, new_centers)
-    inertia = float(np.sum((data - new_centers[labels]) ** 2))
-    return new_centers, labels, inertia
+    k = centers.shape[0]
+    cluster_ids = np.arange(k)[:, None]
+    labels = _assign(data, centers, data_sq)
+    inertia = np.inf
+    for _ in range(max_iter):
+        counts = np.bincount(labels, minlength=k)
+        onehot = (labels == cluster_ids).astype(float)
+        new_centers = (onehot @ data) / np.maximum(counts, 1)[:, None]
+        empty = counts == 0
+        if empty.any():
+            distances = np.sum((data - centers.take(labels, axis=0)) ** 2, axis=1)
+            new_centers[empty] = data[int(np.argmax(distances))]
+        centers = new_centers
+        labels = _assign(data, centers, data_sq)
+        prev_inertia = inertia
+        inertia = float(np.sum((data - centers.take(labels, axis=0)) ** 2))
+        if prev_inertia - inertia <= tol:
+            break
+    return centers, labels, inertia
+
+
+def refine(data: np.ndarray, inits: np.ndarray, max_iter: int, tol: float) -> QuantizationResult:
+    """Run Lloyd's algorithm from each start in ``inits``; keep the lowest inertia.
+
+    This half of :meth:`KMeans.fit` draws nothing from a random generator,
+    so it can run anywhere (e.g. in a worker process) once
+    :meth:`KMeans.seed` has drawn the starts.
+
+    Parameters
+    ----------
+    data:
+        Validated array of shape ``(n, d)``.
+    inits:
+        Starting centres, shape ``(n_init, k, d)``.
+    max_iter, tol:
+        As for :class:`KMeans`.
+    """
+    if len(inits) == 0:
+        raise ValidationError("inits must hold at least one start")
+    data_sq = np.sum(data**2, axis=1)
+    best: QuantizationResult | None = None
+    for init in inits:
+        centers, labels, inertia = _lloyd(data, data_sq, init, max_iter, tol)
+        if best is None or inertia < best.inertia:
+            counts = counts_from_labels(labels, centers.shape[0])
+            kept = drop_empty_clusters(centers, counts, labels)
+            best = QuantizationResult(
+                centers=kept.centers, counts=kept.counts, labels=kept.labels, inertia=inertia
+            )
+    assert best is not None
+    return best
 
 
 class KMeans(BaseQuantizer):
@@ -124,33 +185,24 @@ class KMeans(BaseQuantizer):
             raise ValidationError("tol must be non-negative")
         self.tol = float(tol)
 
-    def fit(self, data: np.ndarray) -> QuantizationResult:
+    def seed(self, data: np.ndarray) -> np.ndarray:
+        """Draw the ``n_init`` k-means++ starts for ``data``.
+
+        This is the only part of :meth:`fit` that consumes the random
+        generator.  ``k`` is ``n_clusters`` capped at the number of
+        distinct rows.
+
+        Returns
+        -------
+        numpy.ndarray
+            Starting centres, shape ``(n_init, k, d)``, for :func:`refine`.
+        """
         data = self._validate(data)
         rng = self._rng()
-        n_unique = np.unique(data, axis=0).shape[0]
-        k = min(self.n_clusters, n_unique)
+        k = min(self.n_clusters, np.unique(data, axis=0).shape[0])
+        return np.stack([kmeans_plusplus_init(data, k, rng) for _ in range(self.n_init)])
 
-        best: QuantizationResult | None = None
-        for _ in range(self.n_init):
-            centers = kmeans_plusplus_init(data, k, rng)
-            prev_inertia = np.inf
-            labels = np.zeros(data.shape[0], dtype=int)
-            inertia = np.inf
-            for _ in range(self.max_iter):
-                centers, labels, inertia = lloyd_iteration(data, centers, rng)
-                if prev_inertia - inertia <= self.tol:
-                    break
-                prev_inertia = inertia
-            counts = counts_from_labels(labels, k)
-            result = drop_empty_clusters(centers, counts, labels)
-            result = QuantizationResult(
-                centers=result.centers,
-                counts=result.counts,
-                labels=result.labels,
-                inertia=inertia,
-            )
-            if best is None or result.inertia < best.inertia:
-                best = result
-        assert best is not None
-        self._result = best
-        return best
+    def fit(self, data: np.ndarray) -> QuantizationResult:
+        data = self._validate(data)
+        self._result = refine(data, self.seed(data), self.max_iter, self.tol)
+        return self._result

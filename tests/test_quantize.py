@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import NotFittedError, ValidationError
 from repro.quantize import (
@@ -15,6 +17,7 @@ from repro.quantize import (
     kmeans_plusplus_init,
     pairwise_distances,
 )
+from repro.quantize.kmeans import refine
 
 
 def three_blobs(rng, n_per_blob=40):
@@ -136,6 +139,106 @@ class TestKMeans:
         data = rng.normal(size=50)
         result = KMeans(4, random_state=0).fit(data)
         assert result.centers.shape[1] == 1
+
+
+# ---------------------------------------------------------------------- #
+# Reference k-means: the per-cluster Lloyd loop the vectorised kernel
+# replaced, kept as an independent oracle for labels, centres and the
+# generator's draws.
+# ---------------------------------------------------------------------- #
+def reference_assign(data, centers):
+    sq = (
+        np.sum(data**2, axis=1)[:, None]
+        - 2.0 * data @ centers.T
+        + np.sum(centers**2, axis=1)[None, :]
+    )
+    return np.argmin(sq, axis=1)
+
+
+def reference_lloyd_step(data, centers):
+    labels = reference_assign(data, centers)
+    new_centers = centers.copy()
+    for k in range(centers.shape[0]):
+        members = data[labels == k]
+        if len(members) > 0:
+            new_centers[k] = members.mean(axis=0)
+        else:
+            distances = np.sum((data - centers[labels]) ** 2, axis=1)
+            new_centers[k] = data[int(np.argmax(distances))]
+    labels = reference_assign(data, new_centers)
+    inertia = float(np.sum((data - new_centers[labels]) ** 2))
+    return new_centers, labels, inertia
+
+
+def reference_lloyd(data, centers, max_iter=100, tol=1e-7):
+    prev_inertia = np.inf
+    for _ in range(max_iter):
+        centers, labels, inertia = reference_lloyd_step(data, centers)
+        if prev_inertia - inertia <= tol:
+            break
+        prev_inertia = inertia
+    return centers, labels, inertia
+
+
+def reference_fit(data, n_clusters, rng, n_init=4):
+    """(centres, counts, labels) of the best of ``n_init`` k-means++ restarts."""
+    k = min(n_clusters, np.unique(data, axis=0).shape[0])
+    best = None
+    for _ in range(n_init):
+        centers, labels, inertia = reference_lloyd(data, kmeans_plusplus_init(data, k, rng))
+        result = drop_empty_clusters(centers, counts_from_labels(labels, k), labels)
+        if best is None or inertia < best[0]:
+            best = (inertia, result)
+    return best[1]
+
+
+@st.composite
+def kmeans_bags(draw):
+    """A bag with duplicate rows and, sometimes, fewer distinct rows than K."""
+    n_clusters = draw(st.integers(1, 8))
+    n = draw(st.integers(n_clusters + 1, 300))
+    d = draw(st.integers(1, 10))
+    distinct = draw(st.one_of(st.integers(1, max(n_clusters - 1, 1)), st.integers(1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # Integer grid: member sums are exact in any order, so ties
+        # between equidistant centres break the same way in both kernels.
+        rows = rng.integers(-3, 4, size=(distinct, d)).astype(float)
+    else:
+        rows = rng.normal(0.0, 5.0, size=(distinct, d))
+    data = rows[rng.integers(distinct, size=n)]
+    return data, n_clusters, draw(st.integers(0, 2**32 - 1))
+
+
+class TestKMeansAgainstReference:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(kmeans_bags())
+    def test_fit_matches_reference_loop(self, case):
+        data, n_clusters, seed = case
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = KMeans(n_clusters, random_state=rng).fit(data)
+        reference = reference_fit(data, n_clusters, reference_rng)
+        np.testing.assert_array_equal(result.counts, reference.counts)
+        np.testing.assert_array_equal(result.labels, reference.labels)
+        np.testing.assert_allclose(result.centers, reference.centers, rtol=0, atol=1e-12)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_empty_cluster_is_reseeded_with_the_farthest_point(self):
+        data = np.array([[0.0], [1.0], [10.0], [11.0]])
+        # The centre at 100 starts empty and takes 11, the point farthest
+        # from its centre; a step later the centre at 1 empties and takes 1.
+        inits = np.array([[[0.0], [1.0], [100.0]]])
+        result = refine(data, inits, max_iter=100, tol=1e-7)
+        centers, labels, inertia = reference_lloyd(data, inits[0])
+        np.testing.assert_array_equal(result.centers, [[0.0], [1.0], [10.5]])
+        np.testing.assert_array_equal(result.counts, [1.0, 1.0, 2.0])
+        np.testing.assert_allclose(result.centers, centers, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(result.labels, labels)
+        assert result.inertia == inertia
+
+    def test_refine_needs_a_start(self, rng):
+        with pytest.raises(ValidationError):
+            refine(rng.normal(size=(10, 2)), np.empty((0, 3, 2)), max_iter=100, tol=1e-7)
 
 
 class TestKMedoids:
