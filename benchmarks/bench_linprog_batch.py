@@ -7,8 +7,7 @@ actual simplex work whenever signatures share a support (d-dimensional
 histogram grids).  :func:`repro.emd.solve_emd_linprog_batch` stacks many
 pairs into one sparse block-diagonal LP per HiGHS call, paying the model
 set-up once per chunk while producing *exactly* the same distances (same
-LP, same solver — unlike the entropic ``sinkhorn_batch`` path there is
-no approximation to trade away).
+LP, same solver, no approximation to trade away).
 
 Three sections:
 

@@ -25,13 +25,12 @@ Sections:
   remaining bags are replayed; the recombined history must match the
   uninterrupted run at 1e-12;
 * **batched drain** — a wide replay (``--batch-streams``, default 64)
-  on each batched solver backend, drained sequentially (one solve per
+  on the ``linprog_batch`` backend, drained sequentially (one solve per
   stream per round) and through the cross-stream batched scheduler
   (``SupervisorPolicy(batch_drain=True)``: one stacked solve per
   round).  Full mode gates the batched speedup at ``--batch-speedup``
-  (default 2x); parity between the two drains is gated at 1e-12 on the
-  exact ``linprog_batch`` backend (1e-8 on the approximate
-  ``sinkhorn_batch``) in both modes.
+  (default 2x); parity between the two drains is gated at 1e-12 in
+  both modes.
 
 Run standalone::
 
@@ -88,7 +87,7 @@ def stream_config(index, seed):
 def batched_stream_config(index, seed, backend):
     """A stream config for the batched-drain section.
 
-    Histogram signatures on a common grid are the batched backends'
+    Histogram signatures on a common grid are the stacked LPs'
     stacking case: pairs across streams land in shared support groups,
     so the cross-stream drain runs one stacked solve where the
     sequential drain runs one per stream.
@@ -100,7 +99,6 @@ def batched_stream_config(index, seed, backend):
         bins=3,
         histogram_range=[(-6.0, 10.0), (-6.0, 10.0)],
         emd_backend=backend,
-        sinkhorn_tol=1e-6,
         n_bootstrap=20,
         random_state=seed + index,
     )
@@ -191,7 +189,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--batch-speedup", type=float, default=2.0,
         help="minimum batched-over-sequential drain speedup enforced in "
-        "full mode, per batched backend",
+        "full mode",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -321,39 +319,38 @@ def main(argv=None) -> int:
         "sequential vs cross-stream stacked solves"
     )
     print(f"{'backend':<16}{'seq s':>9}{'batched s':>11}{'speedup':>9}{'parity':>11}")
-    for backend in ("linprog_batch", "sinkhorn_batch"):
-        batch_configs = [
-            batched_stream_config(i, args.seed + 200, backend)
-            for i in range(batch_streams)
-        ]
-        sequential_time, (_, _, sequential_hist) = timed(
-            lambda configs=batch_configs: run_supervised(
-                configs, batch_bag_sets, plain_policy
-            )
+    backend = "linprog_batch"
+    batch_configs = [
+        batched_stream_config(i, args.seed + 200, backend)
+        for i in range(batch_streams)
+    ]
+    sequential_time, (_, _, sequential_hist) = timed(
+        lambda configs=batch_configs: run_supervised(
+            configs, batch_bag_sets, plain_policy
         )
-        batched_time, (_, _, batched_hist) = timed(
-            lambda configs=batch_configs: run_supervised(
-                configs, batch_bag_sets, SupervisorPolicy(batch_drain=True)
-            )
+    )
+    batched_time, (_, _, batched_hist) = timed(
+        lambda configs=batch_configs: run_supervised(
+            configs, batch_bag_sets, SupervisorPolicy(batch_drain=True)
         )
-        diff = history_parity(batched_hist, sequential_hist)
-        speedup = sequential_time / batched_time if batched_time > 0 else float("inf")
-        tol = PARITY_TOL if backend == "linprog_batch" else 1e-8
-        if diff > tol:
-            batch_parity_ok = False
-        if not args.quick and speedup < args.batch_speedup:
-            batch_speedup_ok = False
-        batch_results[backend] = {
-            "sequential_seconds": sequential_time,
-            "batched_seconds": batched_time,
-            "speedup": speedup,
-            "parity_diff": diff,
-            "parity_tol": tol,
-        }
-        print(
-            f"{backend:<16}{sequential_time:>9.3f}{batched_time:>11.3f}"
-            f"{speedup:>8.2f}x{diff:>11.2e}"
-        )
+    )
+    diff = history_parity(batched_hist, sequential_hist)
+    speedup = sequential_time / batched_time if batched_time > 0 else float("inf")
+    if diff > PARITY_TOL:
+        batch_parity_ok = False
+    if not args.quick and speedup < args.batch_speedup:
+        batch_speedup_ok = False
+    batch_results[backend] = {
+        "sequential_seconds": sequential_time,
+        "batched_seconds": batched_time,
+        "speedup": speedup,
+        "parity_diff": diff,
+        "parity_tol": PARITY_TOL,
+    }
+    print(
+        f"{backend:<16}{sequential_time:>9.3f}{batched_time:>11.3f}"
+        f"{speedup:>8.2f}x{diff:>11.2e}"
+    )
 
     max_diff = max(supervised_diff, snapshot_diff, recovered_diff)
     parity_ok = max_diff <= PARITY_TOL

@@ -125,27 +125,9 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
         "--emd-backend",
         choices=EMD_SOLVERS,
         default="auto",
-        help="transportation solver: exact per-pair (auto/linprog/simplex), "
-        "the block-diagonal batched exact LP (linprog_batch) or the "
-        "tensor-batched entropic approximation (sinkhorn_batch)",
-    )
-    parser.add_argument(
-        "--sinkhorn-epsilon", type=float, default=0.05,
-        help="regularisation strength for --emd-backend sinkhorn_batch",
-    )
-    parser.add_argument(
-        "--sinkhorn-max-iter", type=int, default=2000,
-        help="iteration budget per batched Sinkhorn solve",
-    )
-    parser.add_argument(
-        "--sinkhorn-tol", type=float, default=1e-9,
-        help="marginal tolerance of the batched Sinkhorn solver "
-        "(raise for faster, scoring-grade band builds)",
-    )
-    parser.add_argument(
-        "--sinkhorn-anneal", type=float, nargs="+", default=None, metavar="EPS",
-        help="decreasing epsilon-annealing stages run before "
-        "--sinkhorn-epsilon (warm-started duals), e.g. 1.0 0.3 0.1",
+        help="exact transportation solver: auto (1-D closed form plus "
+        "stacked LPs; linprog_batch is a second name for it) or one LP "
+        "per pair (linprog/simplex)",
     )
     parser.add_argument("--seed", type=int, default=None, help="random seed")
 
@@ -317,8 +299,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-drain", action="store_true",
         help="drain all streams through one cross-stream stacked solve per "
-        "round instead of one solve per stream (scores within 1e-12 on "
-        "the exact backends)",
+        "round instead of one solve per stream (scores within 1e-12 of "
+        "the sequential drain)",
     )
     parser.add_argument(
         "--history-limit", type=int, default=None,
@@ -360,10 +342,6 @@ def serve_replay_main(argv: Optional[Sequence[str]] = None) -> int:
             bins=args.bins,
             ground_distance=args.ground_distance,
             emd_backend=args.emd_backend,
-            sinkhorn_epsilon=args.sinkhorn_epsilon,
-            sinkhorn_max_iter=args.sinkhorn_max_iter,
-            sinkhorn_tol=args.sinkhorn_tol,
-            sinkhorn_anneal=args.sinkhorn_anneal,
             history_limit=args.history_limit,
             lr_inspection_index=args.lr_inspection_index,
             weighting=args.weighting,
@@ -442,10 +420,6 @@ def shard_build_main(argv: Optional[Sequence[str]] = None) -> int:
         bins=args.bins,
         ground_distance=args.ground_distance,
         emd_backend=args.emd_backend,
-        sinkhorn_epsilon=args.sinkhorn_epsilon,
-        sinkhorn_max_iter=args.sinkhorn_max_iter,
-        sinkhorn_tol=args.sinkhorn_tol,
-        sinkhorn_anneal=args.sinkhorn_anneal,
         shard_retries=args.retries,
         shard_timeout=args.shard_timeout,
         on_poison_pair=args.on_poison_pair,
@@ -648,10 +622,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         bins=args.bins,
         ground_distance=args.ground_distance,
         emd_backend=args.emd_backend,
-        sinkhorn_epsilon=args.sinkhorn_epsilon,
-        sinkhorn_max_iter=args.sinkhorn_max_iter,
-        sinkhorn_tol=args.sinkhorn_tol,
-        sinkhorn_anneal=args.sinkhorn_anneal,
         parallel_backend=args.parallel,
         n_workers=args.workers,
         n_shards=args.n_shards,

@@ -9,7 +9,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .._validation import check_positive_int
-from ..emd.batch import EMD_SOLVERS, PARALLEL_BACKENDS, _check_anneal
+from ..emd.batch import EMD_SOLVERS, PARALLEL_BACKENDS
 from ..emd.registry import (
     POISON_POLICIES,
     EMDSolverName,
@@ -56,41 +56,18 @@ class DetectorConfig:
         Ground distance of the EMD (Section 3.2).
     emd_backend:
         ``"auto"`` (default; ``"linprog_batch"`` is a second name for
-        it) — the exact stacked route: 1-D equal-mass pairs take the closed form, every other
-        pair is grouped by ``(dimension, K_a, K_b)`` and solved in
-        block-diagonal HiGHS LPs, equal to the per-pair LP to within
-        1e-12 — ``"linprog"`` or ``"simplex"`` (exact, one solve per
-        pair), or ``"sinkhorn_batch"`` — the tensor-batched *entropic*
-        solver over pairs that share a support grid, with the stacked
-        exact route for irregular supports.  Note ``"sinkhorn_batch"``
-        computes the *normalised-mass* (balanced) EMD throughout — equal
-        to the paper's partial-matching EMD whenever bags carry equal
-        total mass, an approximation otherwise — while the exact
-        backends keep the paper's partial-matching functional.
-    sinkhorn_epsilon:
-        Unit-free regularisation strength of the batched Sinkhorn solver
-        (smaller = closer to the exact EMD but slower); only used with
-        ``emd_backend="sinkhorn_batch"``.
-    sinkhorn_max_iter:
-        Iteration budget per batched Sinkhorn solve.
-    sinkhorn_tol:
-        L1 row-marginal tolerance at which a batched Sinkhorn pair
-        counts as converged.  The solver default (1e-9) is far tighter
-        than the detection scores can resolve; raising it (e.g. to
-        1e-6) shortens the band build without moving any alert.
-    sinkhorn_anneal:
-        Optional decreasing epsilon-annealing prefix for the batched
-        Sinkhorn solver: each solve runs the schedule
-        ``(*sinkhorn_anneal, sinkhorn_epsilon)`` with warm-started
-        duals, reaching a small final epsilon much faster than a cold
-        start at it.  Stages must be strictly decreasing and stay above
-        ``sinkhorn_epsilon``.
+        it) — the exact stacked route: 1-D equal-mass pairs take the
+        closed form, every other pair is grouped by
+        ``(dimension, K_a, K_b)`` and solved in block-diagonal HiGHS
+        LPs, equal to the per-pair LP to within 1e-12 — or
+        ``"linprog"``/``"simplex"`` (exact, one solve per pair).  Every
+        backend computes the paper's partial-matching EMD.
     parallel_backend:
         ``"serial"`` (default), ``"thread"`` or ``"process"``.  The EMD
         engine's worker pool solves the independent stacked LP chunks
         of ``"auto"``/``"linprog_batch"``, or the single pairs of
-        ``"linprog"``/``"simplex"``; the 1-D closed form and the batched
-        Sinkhorn solver always run in-process.  With ``n_shards`` set,
+        ``"linprog"``/``"simplex"``; the 1-D closed form always runs
+        in-process.  With ``n_shards`` set,
         ``"process"`` runs the shards in worker processes instead.  The
         offline ``detect()`` also runs its k-means refinement on the
         engine's pool; seeding stays serial, so signatures and the
@@ -168,10 +145,6 @@ class DetectorConfig:
     histogram_range: Optional[Sequence] = None
     ground_distance: str = "euclidean"
     emd_backend: EMDSolverName = "auto"
-    sinkhorn_epsilon: float = 0.05
-    sinkhorn_max_iter: int = 2000
-    sinkhorn_tol: float = 1e-9
-    sinkhorn_anneal: Optional[Sequence[float]] = None
     parallel_backend: ParallelBackendName = "serial"
     n_workers: Optional[int] = None
     n_shards: Optional[int] = None
@@ -206,14 +179,7 @@ class DetectorConfig:
             raise ConfigurationError(
                 f"emd_backend must be one of {EMD_SOLVERS}, got {self.emd_backend!r}"
             )
-        if not np.isfinite(self.sinkhorn_epsilon) or self.sinkhorn_epsilon <= 0:
-            raise ConfigurationError("sinkhorn_epsilon must be positive and finite")
-        if not np.isfinite(self.sinkhorn_tol) or self.sinkhorn_tol <= 0:
-            raise ConfigurationError("sinkhorn_tol must be positive and finite")
-        if self.sinkhorn_anneal is not None:
-            self.sinkhorn_anneal = _check_anneal(self.sinkhorn_anneal, self.sinkhorn_epsilon)
         try:
-            check_positive_int(self.sinkhorn_max_iter, "sinkhorn_max_iter")
             if self.n_shards is not None:
                 check_positive_int(self.n_shards, "n_shards")
             if self.history_limit is not None:

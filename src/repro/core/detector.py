@@ -74,10 +74,6 @@ class BagChangePointDetector:
             backend=config.emd_backend,
             parallel_backend=config.parallel_backend,
             n_workers=config.n_workers,
-            sinkhorn_epsilon=config.sinkhorn_epsilon,
-            sinkhorn_max_iter=config.sinkhorn_max_iter,
-            sinkhorn_tol=config.sinkhorn_tol,
-            sinkhorn_anneal=config.sinkhorn_anneal,
         )
 
     # ------------------------------------------------------------------ #

@@ -6,7 +6,6 @@ from .batch import (
     PairwiseEMDEngine,
     band_pair_counts,
     band_pair_indices,
-    banded_emd_matrix,
 )
 from .distance import EMDResult, emd, emd_with_flow
 from .ground_distance import (
@@ -21,7 +20,6 @@ from .ground_distance import (
 from .linprog_backend import solve_emd_linprog
 from .linprog_batch import LinprogBatchResult, solve_emd_linprog_batch
 from .matrices import EMDCache, cross_emd_matrix, emd_matrix
-from .numerics import logsumexp
 from .one_dimensional import emd_1d_histograms, wasserstein_1d
 from .orchestrator import (
     QUARANTINE_FILENAME,
@@ -46,8 +44,6 @@ from .sharding import (
     save_shard_checkpoint,
     sharded_banded_matrix,
 )
-from .sinkhorn import SinkhornResult, sinkhorn_emd, sinkhorn_transport
-from .sinkhorn_batch import SinkhornBatchResult, sinkhorn_transport_batch
 from .transportation import (
     TransportPlan,
     solve_transportation,
@@ -60,7 +56,6 @@ __all__ = [
     "PairwiseEMDEngine",
     "band_pair_counts",
     "band_pair_indices",
-    "banded_emd_matrix",
     "EngineSettings",
     "ShardPlan",
     "ShardRunner",
@@ -98,12 +93,6 @@ __all__ = [
     "cross_emd_matrix",
     "wasserstein_1d",
     "emd_1d_histograms",
-    "logsumexp",
-    "SinkhornResult",
-    "sinkhorn_emd",
-    "sinkhorn_transport",
-    "SinkhornBatchResult",
-    "sinkhorn_transport_batch",
     "TransportPlan",
     "solve_transportation",
     "solve_unbalanced_transportation",

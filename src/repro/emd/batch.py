@@ -22,14 +22,10 @@ name for it) takes one of two routes per pair:
   :func:`~repro.emd.linprog_batch.solve_emd_linprog_batch`, over a
   ``(P, K_a, K_b)`` cost tensor built only when that chunk is solved.
 
-``"sinkhorn_batch"`` groups pairs by *support signature* (the byte
-pattern of their positions arrays) instead and runs the tensor-batched
-entropic solver :func:`~repro.emd.sinkhorn_batch.sinkhorn_transport_batch`
-over one shared cost kernel per group, embedding mixed-support pairs on
-one grid into the union of their own two supports; irregular supports
-take the stacked exact route on normalised weights.  The per-pair
-backends ``"linprog"`` and ``"simplex"`` solve one LP per pair, with
-ground-distance matrices cached for pairs that share a support.  With
+The per-pair backends ``"linprog"`` and ``"simplex"`` solve one LP per
+pair, with ground-distance matrices cached for pairs that share a
+support.  There is no entropic backend: every route computes the same
+partial-matching EMD exactly.  With
 ``parallel_backend="thread"``/``"process"`` the stacked chunks (or the
 per-pair solves) run on a lazily created worker pool (use
 :meth:`~PairwiseEMDEngine.close` or a ``with`` block to release it).
@@ -50,19 +46,15 @@ from __future__ import annotations
 
 import os
 import pickle
-import warnings
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
     TypeVar,
-    Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -84,7 +76,6 @@ from .registry import (
     EMDSolverName,
     ParallelBackendName,
 )
-from .sinkhorn_batch import sinkhorn_transport_batch
 from .transportation import solve_unbalanced_transportation
 
 __all__ = [
@@ -94,7 +85,6 @@ __all__ = [
     "PairwiseEMDEngine",
     "band_pair_counts",
     "band_pair_indices",
-    "banded_emd_matrix",
 ]
 
 
@@ -133,31 +123,6 @@ def band_pair_indices(
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     j = i + 1 + (np.arange(total) - np.repeat(starts, counts))
     return i, j
-
-
-def _check_anneal(
-    anneal: Optional[Sequence[float]], epsilon: float
-) -> Optional[Tuple[float, ...]]:
-    """Validate an epsilon-annealing prefix against the final epsilon.
-
-    The stages must be finite, positive and strictly decreasing, and
-    every stage must stay above the final ``epsilon`` — otherwise the
-    "anneal" would heat up, which only wastes the warm start.
-    """
-    if anneal is None:
-        return None
-    stages = tuple(float(e) for e in anneal)
-    if not stages:
-        return None
-    if any(not np.isfinite(e) or e <= 0 for e in stages):
-        raise ConfigurationError("sinkhorn_anneal stages must be positive and finite")
-    schedule = stages + (float(epsilon),)
-    if any(a <= b for a, b in zip(schedule, schedule[1:])):
-        raise ConfigurationError(
-            "sinkhorn_anneal must be strictly decreasing and stay above "
-            f"sinkhorn_epsilon={epsilon}; got stages {stages}"
-        )
-    return stages
 
 
 class BandedDistanceMatrix:
@@ -212,8 +177,8 @@ class BandedDistanceMatrix:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Stored index pairs as ``(i, j)`` arrays with ``i < j``.
 
-        Row-major (same order as :meth:`pairs`), built without a Python
-        double loop: row ``i`` contributes offsets ``1 … counts[i]`` where
+        Row-major, built without a Python double loop: row ``i``
+        contributes offsets ``1 … counts[i]`` where
         ``counts[i] = min(bandwidth − 1, n − 1 − i)``.  The optional
         ``[row_start, row_stop)`` range restricts the result to pairs
         *owned* by those rows (``i`` in range; ``j`` may reach up to
@@ -248,17 +213,6 @@ class BandedDistanceMatrix:
                 f"pairs must be off-diagonal and inside the band of width {self._bandwidth}"
             )
         self._band[lo, offset - 1] = v
-
-    def pairs(self) -> Iterator[Tuple[int, int]]:
-        """All stored index pairs ``(i, j)`` with ``i < j``, row-major.
-
-        Lazy counterpart of :meth:`pair_indices`, kept for callers that
-        want Python ints one pair at a time in O(1) memory (vectorised
-        consumers should use :meth:`pair_indices` directly).
-        """
-        for i in range(self._n):
-            for j in range(i + 1, min(self._n, i + self._bandwidth)):
-                yield i, j
 
     # ------------------------------------------------------------------ #
     # Element access
@@ -527,33 +481,16 @@ class PairwiseEMDEngine:
         the exact stacked route: the closed-form
         1-D integral where it applies, otherwise block-diagonal HiGHS LPs
         over pairs grouped by ``(dimension, K_a, K_b)``.
-        ``"sinkhorn_batch"`` is the tensor-batched entropic approximation
-        on normalised weights.  ``"linprog"`` and ``"simplex"`` solve one
-        exact problem per pair, as :func:`repro.emd.emd` does.
+        ``"linprog"`` and ``"simplex"`` solve one exact problem per pair,
+        as :func:`repro.emd.emd` does.
     parallel_backend:
         ``"serial"`` (default), ``"thread"`` or ``"process"``.  A pool
         solves the independent chunks of the stacked LPs, or the single
         pairs of the per-pair backends ``"linprog"`` and ``"simplex"``;
-        the 1-D fast path and the batched Sinkhorn solver always run
-        in-process.
+        the 1-D fast path always runs in-process.
     n_workers:
         Pool size; defaults to the CPU count when a pool backend is
         selected.
-    sinkhorn_epsilon:
-        Unit-free regularisation strength of the batched Sinkhorn solver
-        (only used with ``backend="sinkhorn_batch"``).
-    sinkhorn_max_iter:
-        Iteration budget per batched Sinkhorn solve.
-    sinkhorn_tol:
-        L1 row-marginal tolerance at which a batched Sinkhorn pair is
-        considered converged (and compacted out of the iteration).  The
-        solver default (1e-9) is far below scoring-grade accuracy;
-        raising it buys band-build speed directly.
-    sinkhorn_anneal:
-        Optional decreasing epsilon-annealing prefix.  When given, each
-        batched solve runs the schedule ``(*sinkhorn_anneal,
-        sinkhorn_epsilon)`` with warm-started duals — converging to the
-        small final epsilon much faster than a cold start at it.
 
     Attributes
     ----------
@@ -562,22 +499,11 @@ class PairwiseEMDEngine:
     n_fast_path:
         How many of those went through the vectorised 1-D fast path.
     n_cost_cache_hits:
-        How many solves reused a cached ground-distance matrix (pairs
-        whose signatures share a common support, on the per-pair and
-        Sinkhorn routes).
+        How many per-pair solves reused a cached ground-distance matrix
+        (pairs whose signatures share a common support).
     n_linprog_batched:
         How many pair distances were solved by the stacked exact LP
         route.
-    n_sinkhorn_batched:
-        How many pair distances were solved by the tensor-batched
-        Sinkhorn solver (grouped or union-embedded supports).
-    n_sinkhorn_nonconverged:
-        How many of those exhausted ``sinkhorn_max_iter`` without
-        meeting the marginal tolerance.  Such distances are still
-        returned; a :class:`RuntimeWarning` is emitted only when a
-        plan's marginal violation is materially large (> 1e-3, i.e. the
-        plan is genuinely unusable) rather than merely slow to close the
-        last decades towards the 1e-9 tolerance.
 
     Notes
     -----
@@ -591,14 +517,6 @@ class PairwiseEMDEngine:
     """
 
     _COST_CACHE_MAX = 64
-    # Marginal violation above which a non-converged Sinkhorn solve is
-    # worth a RuntimeWarning.  Spiky marginals at small epsilon converge
-    # slowly past ~1e-4, and an L1 violation of 1e-3 (0.1% of the mass
-    # misplaced, distance bias ~0.1% of the cost scale) is still far
-    # below anything the detection scores can resolve — the warning is
-    # for solves whose plans are genuinely unusable, not for the slow
-    # tail of fine ones.
-    _SINKHORN_WARN_ERROR = 1e-3
 
     def __init__(
         self,
@@ -607,10 +525,6 @@ class PairwiseEMDEngine:
         backend: EMDSolverName = "auto",
         parallel_backend: ParallelBackendName = "serial",
         n_workers: Optional[int] = None,
-        sinkhorn_epsilon: float = 0.05,
-        sinkhorn_max_iter: int = 2000,
-        sinkhorn_tol: float = 1e-9,
-        sinkhorn_anneal: Optional[Sequence[float]] = None,
     ) -> None:
         if backend not in EMD_SOLVERS:
             raise ConfigurationError(
@@ -622,38 +536,21 @@ class PairwiseEMDEngine:
             )
         if n_workers is not None:
             n_workers = check_positive_int(n_workers, "n_workers")
-        if not np.isfinite(sinkhorn_epsilon) or sinkhorn_epsilon <= 0:
-            raise ConfigurationError("sinkhorn_epsilon must be positive and finite")
-        if not np.isfinite(sinkhorn_tol) or sinkhorn_tol <= 0:
-            raise ConfigurationError("sinkhorn_tol must be positive and finite")
         self.ground_distance = ground_distance
         # "linprog_batch" names the same exact stacked route as "auto";
         # the name stays accepted so configs and fingerprints keep it.
         self.backend = "auto" if backend == "linprog_batch" else backend
         self.parallel_backend = parallel_backend
         self.n_workers = n_workers
-        self.sinkhorn_epsilon = float(sinkhorn_epsilon)
-        self.sinkhorn_max_iter = check_positive_int(sinkhorn_max_iter, "sinkhorn_max_iter")
-        self.sinkhorn_tol = float(sinkhorn_tol)
-        self.sinkhorn_anneal = _check_anneal(sinkhorn_anneal, self.sinkhorn_epsilon)
         self.n_evaluations = 0
         self.n_fast_path = 0
         self.n_cost_cache_hits = 0
-        self.n_sinkhorn_batched = 0
-        self.n_sinkhorn_nonconverged = 0
+        self.n_sinkhorn_batched = 0  # always 0: no entropic route; perfbench/tracing.py reads it
         self.n_linprog_batched = 0
         self._pool = None
         self._pool_failed = False
         self._closed = False
         self._cost_cache: dict = {}
-        self._union_cache: dict = {}
-
-    @property
-    def sinkhorn_schedule(self) -> Union[float, Tuple[float, ...]]:
-        """The epsilon (or annealing schedule) each batched solve runs."""
-        if self.sinkhorn_anneal is None:
-            return self.sinkhorn_epsilon
-        return self.sinkhorn_anneal + (self.sinkhorn_epsilon,)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -673,7 +570,6 @@ class PairwiseEMDEngine:
             self._pool.shutdown()
             self._pool = None
         self._cost_cache.clear()
-        self._union_cache.clear()
         self._closed = True
 
     def __enter__(self) -> "PairwiseEMDEngine":
@@ -721,24 +617,6 @@ class PairwiseEMDEngine:
     # ------------------------------------------------------------------ #
     # Ground-distance caching
     # ------------------------------------------------------------------ #
-    def _cost_between(self, positions_a: np.ndarray, positions_b: np.ndarray) -> np.ndarray:
-        """Cached cross-distance matrix between two support arrays."""
-        key = (
-            positions_a.shape,
-            positions_a.tobytes(),
-            positions_b.shape,
-            positions_b.tobytes(),
-        )
-        cost = self._cost_cache.get(key)
-        if cost is not None:
-            self.n_cost_cache_hits += 1
-            return cost
-        cost = cross_distance_matrix(positions_a, positions_b, self.ground_distance)
-        if len(self._cost_cache) >= self._COST_CACHE_MAX:
-            self._cost_cache.clear()
-        self._cost_cache[key] = cost
-        return cost
-
     def _cached_cost(self, sig_a: Signature, sig_b: Signature) -> Optional[np.ndarray]:
         """Ground-distance matrix for common-support pairs, built once.
 
@@ -748,7 +626,17 @@ class PairwiseEMDEngine:
         """
         if not _common_support(sig_a, sig_b):
             return None
-        return self._cost_between(sig_a.positions, sig_b.positions)
+        positions = sig_a.positions
+        key = (positions.shape, positions.tobytes())
+        cost = self._cost_cache.get(key)
+        if cost is not None:
+            self.n_cost_cache_hits += 1
+            return cost
+        cost = cross_distance_matrix(positions, sig_b.positions, self.ground_distance)
+        if len(self._cost_cache) >= self._COST_CACHE_MAX:
+            self._cost_cache.clear()
+        self._cost_cache[key] = cost
+        return cost
 
     # ------------------------------------------------------------------ #
     # Pair computation
@@ -840,36 +728,38 @@ class PairwiseEMDEngine:
         return self._run_jobs(_emd_pair, jobs, pool, chunksize=8)
 
     def compute_pairs(self, pairs: Sequence[Tuple[Signature, Signature]]) -> np.ndarray:
-        """Distances for a batch of pairs, in input order."""
+        """Distances for a batch of pairs, in input order.
+
+        Routing is pair-local, so a pair's distance does not depend on
+        which other pairs share the batch beyond last-ulp rounding in the
+        stacked HiGHS solves (≤1e-12).  A failing stacked solve re-raises
+        :class:`~repro.exceptions.SolverError` with ``pair_indices`` in
+        *this call's* positions, so callers that gather pairs from many
+        sources (the supervisor's cross-stream drain) can map failures
+        back to their owners.
+        """
         self._check_open()
         pairs = list(pairs)
         out = np.empty(len(pairs), dtype=float)
         if not pairs:
             return out
-        everything = range(len(pairs))
-        if self.backend == "sinkhorn_batch":
-            rest = self._solve_fast_path(pairs, everything, out)
-            self._solve_sinkhorn_backend(pairs, rest, out)
-        elif self.backend == "auto":
-            self._solve_exact(pairs, everything, out)
+        if self.backend == "auto":
+            self._solve_stacked(pairs, self._solve_fast_path(pairs, out), out)
         else:
             out[:] = self._solve_general(pairs)
         self.n_evaluations += len(pairs)
         return out
 
     # ------------------------------------------------------------------ #
-    # Exact routes: 1-D closed form and stacked shape-grouped LPs
+    # The "auto" route: 1-D closed form and stacked shape-grouped LPs
     # ------------------------------------------------------------------ #
     def _solve_fast_path(
-        self,
-        pairs: List[Tuple[Signature, Signature]],
-        indices: Iterable[int],
-        out: np.ndarray,
+        self, pairs: List[Tuple[Signature, Signature]], out: np.ndarray
     ) -> List[int]:
-        """Fill the closed-form 1-D pairs among ``indices``; return the rest."""
+        """Fill the closed-form 1-D pairs; return the positions of the rest."""
         fast: List[int] = []
         rest: List[int] = []
-        for p in indices:
+        for p in range(len(pairs)):
             sig_a, sig_b = pairs[p]
             eligible = _can_use_1d_fast_path(sig_a, sig_b, self.ground_distance)
             (fast if eligible else rest).append(p)
@@ -877,15 +767,6 @@ class PairwiseEMDEngine:
             out[fast] = _batched_wasserstein_1d([pairs[p] for p in fast])
             self.n_fast_path += len(fast)
         return rest
-
-    def _solve_exact(
-        self,
-        pairs: List[Tuple[Signature, Signature]],
-        indices: Iterable[int],
-        out: np.ndarray,
-    ) -> None:
-        """The exact route: 1-D closed form where it applies, stacked LPs elsewhere."""
-        self._solve_stacked(pairs, self._solve_fast_path(pairs, indices, out), out)
 
     def _solve_stacked(
         self,
@@ -920,199 +801,6 @@ class PairwiseEMDEngine:
             out[chunk] = values
             self.n_linprog_batched += len(chunk)
 
-    # ------------------------------------------------------------------ #
-    # Tensor-batched Sinkhorn routing over shared grids
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _support_key(positions: np.ndarray) -> tuple:
-        return (positions.shape, positions.tobytes())
-
-    def _solve_sinkhorn_backend(
-        self,
-        pairs: List[Tuple[Signature, Signature]],
-        indices: List[int],
-        out: np.ndarray,
-    ) -> None:
-        """Route pairs through the tensor-batched Sinkhorn solver.
-
-        Pairs whose two signatures share one support are grouped by that
-        support and solved over a single shared cost kernel.  Mixed-support
-        pairs are each embedded into the union of their own two supports
-        (zero-weight atoms for missing positions) when that union stays
-        small — the d-dimensional common-grid histogram case — with pairs
-        whose unions coincide stacked into one solve.  Irregular supports
-        take the stacked exact route on normalised weights.  Every routing
-        decision is pair-local, so distances do not depend on how pairs
-        are batched.  ``indices`` are positions into ``pairs``/``out``,
-        so failure context and results keep the caller's frame of
-        reference.
-        """
-        by_dim: Dict[int, List[int]] = {}
-        for p in indices:
-            by_dim.setdefault(pairs[p][0].dimension, []).append(p)
-        for dim_indices in by_dim.values():
-            self._solve_sinkhorn_dim_group(pairs, dim_indices, out)
-
-    def _solve_sinkhorn_group(
-        self,
-        members: List[int],
-        cost: np.ndarray,
-        weights_a: np.ndarray,
-        weights_b: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """One tensor-batched Sinkhorn solve over a shared support."""
-        try:
-            result = sinkhorn_transport_batch(
-                cost,
-                weights_a,
-                weights_b,
-                epsilon=self.sinkhorn_schedule,
-                max_iter=self.sinkhorn_max_iter,
-                tol=self.sinkhorn_tol,
-            )
-        except SolverError as exc:
-            raise _translate_group_error(exc, members) from exc
-        out[members] = result.distances
-        self.n_sinkhorn_batched += len(members)
-        self.n_sinkhorn_nonconverged += int(np.count_nonzero(~result.converged))
-        # The solver tolerance (1e-9) can sit below a problem's float
-        # rounding floor, so tol-misses alone are routine and harmless;
-        # only warn when a plan's marginals are *materially* off.
-        if np.any(result.marginal_errors > self._SINKHORN_WARN_ERROR):
-            warnings.warn(
-                "some batched Sinkhorn solves did not reach the marginal "
-                "tolerance within sinkhorn_max_iter and their plans are "
-                "materially off-marginal; the affected distances carry "
-                "extra entropic bias (raise sinkhorn_max_iter or "
-                "sinkhorn_epsilon; see n_sinkhorn_nonconverged)",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-
-    def _union_embedding(
-        self, positions_a: np.ndarray, positions_b: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Pairwise union support and atom indices, or ``None`` if irregular.
-
-        Embeds a mixed-support pair into the union of *its own* two
-        supports — a decision that depends on nothing but the pair, so a
-        pair is routed (and its distance computed) identically no matter
-        which other pairs share the batch.  That batch-invariance is the
-        property the sharded band builder relies on for exact merges.
-        Embedding happens only when the supports genuinely overlap
-        (subsets of one grid make the union strictly smaller than the
-        concatenation) and the union stays small enough for the
-        (P, U, U) iteration; results are cached per support pattern.
-        """
-        key = (self._support_key(positions_a), self._support_key(positions_b))
-        cached = self._union_cache.get(key, False)
-        if cached is not False:
-            return cached
-        # Canonicalise -0.0 to +0.0 (x + 0.0 does exactly that and nothing
-        # else): np.unique dedups rows by value, but the atom-index lookup
-        # below is keyed by raw bytes, and the two zeros differ bytewise.
-        pos_a = positions_a + 0.0
-        pos_b = positions_b + 0.0
-        union = np.unique(np.vstack([pos_a, pos_b]), axis=0)
-        result: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        overlap = union.shape[0] < pos_a.shape[0] + pos_b.shape[0]
-        if overlap and union.shape[0] <= max(32, 4 * max(pos_a.shape[0], pos_b.shape[0])):
-            union_index = {row.tobytes(): idx for idx, row in enumerate(union)}
-            idx_a = np.array([union_index[row.tobytes()] for row in pos_a], dtype=int)
-            idx_b = np.array([union_index[row.tobytes()] for row in pos_b], dtype=int)
-            result = (union, idx_a, idx_b)
-        if len(self._union_cache) >= self._COST_CACHE_MAX:
-            self._union_cache.clear()
-        self._union_cache[key] = result
-        return result
-
-    def _solve_sinkhorn_dim_group(
-        self,
-        pairs: List[Tuple[Signature, Signature]],
-        indices: List[int],
-        out: np.ndarray,
-    ) -> None:
-        supports: Dict[tuple, np.ndarray] = {}
-        groups: Dict[Tuple[tuple, tuple], List[int]] = {}
-        mixed: List[int] = []
-        for p in indices:
-            sig_a, sig_b = pairs[p]
-            key_a = self._support_key(sig_a.positions)
-            key_b = self._support_key(sig_b.positions)
-            if key_a != key_b:
-                mixed.append(p)
-                continue
-            supports.setdefault(key_a, sig_a.positions)
-            groups.setdefault((key_a, key_b), []).append(p)
-
-        # Common-support groups: shared cost kernel, one batched solve.
-        for (key_a, _key_b), members in groups.items():
-            cost = self._cost_between(supports[key_a], supports[key_a])
-            weights_a = np.stack([pairs[p][0].weights for p in members])
-            weights_b = np.stack([pairs[p][1].weights for p in members])
-            self._solve_sinkhorn_group(members, cost, weights_a, weights_b, out)
-
-        # Mixed-support pairs: embed each into the union of its own two
-        # supports (histogram signatures with varying bin occupancy over
-        # one grid); pairs whose unions coincide share one batched solve.
-        union_groups: Dict[tuple, List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = {}
-        union_supports: Dict[tuple, np.ndarray] = {}
-        irregular: List[int] = []
-        for p in mixed:
-            sig_a, sig_b = pairs[p]
-            embedding = self._union_embedding(sig_a.positions, sig_b.positions)
-            if embedding is None:
-                irregular.append(p)
-                continue
-            union, idx_a, idx_b = embedding
-            union_key = self._support_key(union)
-            union_supports.setdefault(union_key, union)
-            union_groups.setdefault(union_key, []).append((p, union, idx_a, idx_b))
-        for union_key, members in union_groups.items():
-            union = union_supports[union_key]
-            n_union = union.shape[0]
-            weights_a = np.zeros((len(members), n_union), dtype=float)
-            weights_b = np.zeros((len(members), n_union), dtype=float)
-            member_indices = [p for p, _, _, _ in members]
-            for row, (p, _, idx_a, idx_b) in enumerate(members):
-                sig_a, sig_b = pairs[p]
-                np.add.at(weights_a[row], idx_a, sig_a.weights)
-                np.add.at(weights_b[row], idx_b, sig_b.weights)
-            cost = self._cost_between(union, union)
-            self._solve_sinkhorn_group(member_indices, cost, weights_a, weights_b, out)
-        if irregular:
-            # Normalise before the exact solve so the whole backend
-            # computes one functional: the entropic path works on
-            # per-side-normalised weights (balanced transport), whereas
-            # the raw LP computes the partial-matching EMD — for
-            # unequal-mass signatures those differ even as epsilon -> 0.
-            normalised = list(pairs)
-            for p in irregular:
-                normalised[p] = (pairs[p][0].normalized(), pairs[p][1].normalized())
-            self._solve_exact(normalised, irregular, out)
-
-    def solve_pairs(self, pairs: Sequence[Tuple[Signature, Signature]]) -> np.ndarray:
-        """Distances for externally-supplied signature pairs, in input order.
-
-        The entry point for callers that gather pairs from *many*
-        sources — e.g. :class:`repro.service.StreamSupervisor`'s
-        cross-stream batched drain, which stacks the pending pairs of
-        every active stream into one call so the batched backends solve
-        a single support group per round instead of one per stream.
-        Routing is identical to :meth:`compute_pairs` (same routes and
-        failure translation), and because every routing decision is
-        pair-local the returned distances do not depend on which other
-        pairs share the batch beyond last-ulp rounding in the stacked
-        HiGHS solves — the invariant that lets a cross-stream stacked
-        solve commit the per-stream scores to within 1e-12 on the exact
-        backends.  A failing batched group re-raises
-        :class:`~repro.exceptions.SolverError` with
-        ``pair_indices`` in *this call's* positions, so callers can map
-        failures back to whichever source contributed each pair.
-        """
-        return self.compute_pairs(pairs)
-
     def distances_from(
         self, signature: Signature, others: Sequence[Signature]
     ) -> np.ndarray:
@@ -1134,21 +822,3 @@ class PairwiseEMDEngine:
         banded.set_pairs(rows, cols, values)
         return banded
 
-
-def banded_emd_matrix(
-    signatures: Sequence[Signature],
-    bandwidth: int,
-    *,
-    ground_distance: GroundDistance = "euclidean",
-    backend: EMDSolverName = "auto",
-    parallel_backend: ParallelBackendName = "serial",
-    n_workers: Optional[int] = None,
-) -> BandedDistanceMatrix:
-    """Convenience wrapper: banded pairwise EMD matrix in one call."""
-    engine = PairwiseEMDEngine(
-        ground_distance=ground_distance,
-        backend=backend,
-        parallel_backend=parallel_backend,
-        n_workers=n_workers,
-    )
-    return engine.banded_matrix(signatures, bandwidth)

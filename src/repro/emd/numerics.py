@@ -1,16 +1,8 @@
-"""Shared numerical kernels and validation for the transportation solvers.
+"""Input validation for batched transportation problems.
 
-The scalar and the batched Sinkhorn solvers both run log-domain matrix
-scaling, whose inner loop is a stabilised log-sum-exp reduction.  They
-must share one implementation: the batched solver's parity guarantee
-(batched distances match the per-pair solver to within float rounding)
-relies on both paths performing bitwise-identical reductions.
-
-The two batched multi-pair solvers (tensor Sinkhorn and block-diagonal
-LP) also share one input contract — a ``(K, L)`` or ``(P, K, L)`` cost
-tensor against ``(P, K)``/``(P, L)`` non-negative weight rows — so its
-validation lives here too, keeping the two backends' error behaviour
-from drifting apart.
+A batched solve takes a ``(K, L)`` or ``(P, K, L)`` cost tensor against
+``(P, K)``/``(P, L)`` non-negative weight rows; these checks enforce
+that contract for :func:`~repro.emd.linprog_batch.solve_emd_linprog_batch`.
 """
 
 from __future__ import annotations
@@ -25,10 +17,9 @@ from ..exceptions import ValidationError
 def check_weight_rows(weights: np.ndarray, name: str) -> np.ndarray:
     """Validate a ``(P, n_atoms)`` batch of non-negative weight rows.
 
-    Rows are *not* normalised and zero-total rows are *not* rejected
-    here — the solvers disagree on both (balanced Sinkhorn normalises
-    and needs positive mass; the partial-matching LP takes raw weights
-    and treats a zero-total row as a trivially solved pair).
+    Rows are *not* normalised and zero-total rows are *not* rejected:
+    the partial-matching LP takes raw weights and treats a zero-total
+    row as a trivially solved pair.
     """
     arr = np.asarray(weights, dtype=float)
     if arr.ndim != 2:
@@ -72,33 +63,3 @@ def check_batch_shapes(
         )
     return cost, n_pairs
 
-
-def logsumexp(values: np.ndarray, axis: int, *, overwrite_input: bool = False) -> np.ndarray:
-    """Stabilised ``log(sum(exp(values)))`` reduced over ``axis``.
-
-    Unlike the naive shift-by-max formulation, slices consisting entirely
-    of ``-inf`` (atoms carrying zero mass in the log domain) are handled
-    explicitly and reduce to ``-inf`` instead of propagating ``NaN`` from
-    the indeterminate ``-inf - (-inf)`` shift — no runtime warnings are
-    emitted either way.
-
-    ``overwrite_input=True`` lets the reduction clobber ``values`` as
-    scratch space, sparing the batched solver one tensor-sized temporary
-    per call; the computed result is identical.
-    """
-    values = np.asarray(values, dtype=float)
-    maximum = np.max(values, axis=axis, keepdims=True)
-    # An all--inf slice has maximum -inf; shifting by it would produce
-    # NaN, so pin the shift to zero there and let log(sum) = log(0) give
-    # the correct -inf below.
-    safe_max = np.where(np.isfinite(maximum), maximum, 0.0)
-    # asarray above guarantees a float64 ndarray, so in-place is safe.
-    if overwrite_input:
-        shifted = np.subtract(values, safe_max, out=values)
-    else:
-        shifted = values - safe_max
-    np.exp(shifted, out=shifted)
-    total = np.sum(shifted, axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        np.log(total, out=total)
-    return np.squeeze(safe_max + total, axis=axis)

@@ -21,13 +21,13 @@ from __future__ import annotations
 from typing import Final, Literal, Tuple, get_args
 
 #: Every solver backend understood by :class:`PairwiseEMDEngine`.
-EMDSolverName = Literal["auto", "linprog", "linprog_batch", "simplex", "sinkhorn_batch"]
+EMDSolverName = Literal["auto", "linprog", "linprog_batch", "simplex"]
 
 #: The exact per-pair solvers accepted by :func:`repro.emd.emd`.
 PairwiseSolverName = Literal["auto", "linprog", "simplex"]
 
-#: The multi-pair solvers that stack support groups into one solve.
-BatchedSolverName = Literal["linprog_batch", "sinkhorn_batch"]
+#: The multi-pair solver name: an alias of ``"auto"``'s stacked exact LPs.
+BatchedSolverName = Literal["linprog_batch"]
 
 #: How :class:`PairwiseEMDEngine` executes batches of pair solves.
 ParallelBackendName = Literal["serial", "thread", "process"]
@@ -40,16 +40,15 @@ ShardModeName = Literal["serial", "process"]
 #: return it with the quarantined entries masked.
 PoisonPolicyName = Literal["strict", "degraded"]
 
-#: Solver backends understood by :class:`PairwiseEMDEngine`: the exact
-#: per-pair solvers, the block-diagonal batched exact LP and the batched
-#: entropic approximation.  The canonical registry — compare and list
+#: Solver backends understood by :class:`PairwiseEMDEngine`, all exact:
+#: the per-pair solvers and the block-diagonal batched LP (``"auto"``,
+#: also named ``"linprog_batch"``).  The canonical registry — compare and list
 #: backend names against this tuple, never re-list them.
 EMD_SOLVERS: Final[Tuple[EMDSolverName, ...]] = (
     "auto",
     "linprog",
     "linprog_batch",
     "simplex",
-    "sinkhorn_batch",
 )
 
 #: The per-pair exact subset of :data:`EMD_SOLVERS`.

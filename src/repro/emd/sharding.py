@@ -69,8 +69,9 @@ from .registry import EMD_SOLVERS, SHARD_MODES, EMDSolverName, ShardModeName
 #: payload ``checksum`` entry (sha256 over the value bytes) so silent
 #: on-disk corruption — truncation survives the zip CRC only in theory,
 #: bit flips inside a stored-uncompressed member do not — is detected
-#: before a corrupt shard can reach :func:`merge_shards`.
-CHECKPOINT_FORMAT_VERSION = 2
+#: before a corrupt shard can reach :func:`merge_shards`; v3 dropped the
+#: entropic solver's settings from the :class:`EngineSettings` fingerprint.
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 def _values_checksum(values: np.ndarray) -> str:
@@ -96,33 +97,17 @@ class EngineSettings:
 
     ground_distance: GroundDistance = "euclidean"
     backend: EMDSolverName = "auto"
-    sinkhorn_epsilon: float = 0.05
-    sinkhorn_max_iter: int = 2000
-    sinkhorn_tol: float = 1e-9
-    sinkhorn_anneal: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if self.backend not in EMD_SOLVERS:
             raise ConfigurationError(
                 f"backend must be one of {EMD_SOLVERS}, got {self.backend!r}"
             )
-        if self.sinkhorn_anneal is not None:
-            object.__setattr__(
-                self, "sinkhorn_anneal", tuple(float(e) for e in self.sinkhorn_anneal)
-            )
 
     @classmethod
     def from_config(cls, config) -> "EngineSettings":
         """Extract the engine recipe from a ``DetectorConfig``-like object."""
-        anneal = getattr(config, "sinkhorn_anneal", None)
-        return cls(
-            ground_distance=config.ground_distance,
-            backend=config.emd_backend,
-            sinkhorn_epsilon=config.sinkhorn_epsilon,
-            sinkhorn_max_iter=config.sinkhorn_max_iter,
-            sinkhorn_tol=getattr(config, "sinkhorn_tol", 1e-9),
-            sinkhorn_anneal=None if anneal is None else tuple(anneal),
-        )
+        return cls(ground_distance=config.ground_distance, backend=config.emd_backend)
 
     def make_engine(self) -> PairwiseEMDEngine:
         """A serial engine with these solver settings (validates them)."""
@@ -130,10 +115,6 @@ class EngineSettings:
             ground_distance=self.ground_distance,
             backend=self.backend,
             parallel_backend="serial",
-            sinkhorn_epsilon=self.sinkhorn_epsilon,
-            sinkhorn_max_iter=self.sinkhorn_max_iter,
-            sinkhorn_tol=self.sinkhorn_tol,
-            sinkhorn_anneal=self.sinkhorn_anneal,
         )
 
     def fingerprint(self) -> str:
@@ -151,10 +132,6 @@ class EngineSettings:
                 f"v{CHECKPOINT_FORMAT_VERSION}",
                 f"ground_distance={gd}",
                 f"backend={self.backend}",
-                f"sinkhorn_epsilon={self.sinkhorn_epsilon!r}",
-                f"sinkhorn_max_iter={self.sinkhorn_max_iter}",
-                f"sinkhorn_tol={self.sinkhorn_tol!r}",
-                f"sinkhorn_anneal={self.sinkhorn_anneal!r}",
             )
         )
         return hashlib.sha256(payload.encode()).hexdigest()

@@ -37,7 +37,7 @@ class SolverError(ReproError, RuntimeError):
     ----------
     pair_indices:
         When the failure happened inside a *batched* multi-pair solve
-        (the block-diagonal LP or the tensor-batched Sinkhorn), the
+        (the block-diagonal LP), the
         indices of the pairs that were stacked into the failing solve —
         batch-local for errors raised by the solvers themselves,
         translated to :meth:`PairwiseEMDEngine.compute_pairs` positions

@@ -40,10 +40,10 @@ Orthogonal to both axes, ``batch_drain`` switches the supervisor's
 round-robin drain to the **cross-stream batched** scheduler: each round
 collects one pending bag per active stream, stacks every (new, window)
 signature pair across streams into one
-:meth:`~repro.emd.PairwiseEMDEngine.solve_pairs` call, then commits each
+:meth:`~repro.emd.PairwiseEMDEngine.compute_pairs` call, then commits each
 stream independently.  Distances are pair-local in the engine's routing,
-so the batched drain commits to within 1e-12 of the sequential drain on
-the exact backends (a stacked LP may move the last ulp with its chunk's
+so the batched drain commits to within 1e-12 of the sequential drain
+(a stacked LP may move the last ulp with its chunk's
 composition) while paying the solver's setup cost once per round
 instead of once per stream.
 """

@@ -45,8 +45,9 @@ from ..signatures import Signature
 
 #: Version stamp written into every stream snapshot; bumped on layout
 #: changes so an old file is rejected with a clear message instead of
-#: being misread into a silently wrong stream state.
-SNAPSHOT_FORMAT_VERSION = 1
+#: being misread into a silently wrong stream state.  v2 dropped the
+#: entropic solver's settings from :func:`config_fingerprint`.
+SNAPSHOT_FORMAT_VERSION = 2
 
 #: Version stamp of the quarantine manifest JSON layout.
 QUARANTINE_MANIFEST_VERSION = 1
@@ -125,10 +126,6 @@ def config_fingerprint(config: DetectorConfig) -> str:
             f"histogram_range={None if config.histogram_range is None else [tuple(map(float, r)) for r in np.atleast_2d(np.asarray(config.histogram_range, dtype=float))]!r}",
             f"ground_distance={gd}",
             f"emd_backend={config.emd_backend}",
-            f"sinkhorn_epsilon={config.sinkhorn_epsilon!r}",
-            f"sinkhorn_max_iter={config.sinkhorn_max_iter}",
-            f"sinkhorn_tol={config.sinkhorn_tol!r}",
-            f"sinkhorn_anneal={None if config.sinkhorn_anneal is None else tuple(float(e) for e in config.sinkhorn_anneal)!r}",
             f"lr_inspection_index={config.lr_inspection_index}",
             f"weighting={config.weighting}",
             f"n_bootstrap={config.n_bootstrap}",

@@ -336,12 +336,12 @@ class StreamSupervisor:
         :meth:`~repro.core.OnlineBagDetector.prepare` on each (no state
         mutates), stacks every (new, window) signature pair of every
         stream sharing solver settings into **one**
-        :meth:`~repro.emd.PairwiseEMDEngine.solve_pairs` call, scatters
+        :meth:`~repro.emd.PairwiseEMDEngine.compute_pairs` call, scatters
         the distances back, and commits each stream independently — so
-        the batched backends amortise their setup over the whole fleet
+        the stacked LPs amortise their setup over the whole fleet
         instead of paying it per stream.  The engine's routing is
-        pair-local, so on the exact backends every stream commits to
-        within 1e-12 of a sequential :meth:`drain`.
+        pair-local, so every stream commits to within 1e-12 of a
+        sequential :meth:`drain`.
 
         Fault isolation survives the stacking: a
         :class:`~repro.exceptions.SolverError` from the stacked solve is
@@ -439,7 +439,7 @@ class StreamSupervisor:
                 owners.extend([i] * len(pending.pairs))
                 slices[i] = slice(start, start + len(pending.pairs))
             try:
-                stacked = engine.solve_pairs(flat_pairs)
+                stacked = engine.compute_pairs(flat_pairs)
             except SolverError as exc:
                 implicated = self._implicated(exc, owners)
                 for i in members:
@@ -452,7 +452,7 @@ class StreamSupervisor:
                     # sequential push's solve, so it commits
                     # bit-identically.
                     try:
-                        distances[i] = engine.solve_pairs(list(pending.pairs))
+                        distances[i] = engine.compute_pairs(list(pending.pairs))
                     except SolverError as solo_exc:
                         failures.append((stream, bag, pending, solo_exc))
             else:

@@ -1,6 +1,6 @@
 """Every way the solver registry invariant can be broken."""
 
-SOLVER_CHOICES = ("linprog", "simplex", "sinkhorn_batch")  # re-listed literal
+SOLVER_CHOICES = ("linprog", "simplex", "linprog_batch")  # re-listed literal
 
 
 def run(backend: str = "sinkhorn") -> int:  # unknown default

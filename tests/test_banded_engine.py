@@ -20,7 +20,6 @@ from repro.core import (
 from repro.emd import (
     BandedDistanceMatrix,
     PairwiseEMDEngine,
-    banded_emd_matrix,
     emd,
     emd_matrix,
 )
@@ -106,11 +105,6 @@ class TestBandedDistanceMatrix:
             for b in range(a + 1, min(n, a + bandwidth))
         ]
         assert list(zip(i.tolist(), j.tolist())) == expected
-
-    def test_pairs_is_thin_wrapper_over_pair_indices(self):
-        banded = BandedDistanceMatrix(7, 3)
-        i, j = banded.pair_indices()
-        assert list(banded.pairs()) == list(zip(i.tolist(), j.tolist()))
 
     def test_pair_indices_are_all_in_band(self):
         banded = BandedDistanceMatrix(9, 4)
@@ -419,7 +413,9 @@ class TestGroundDistanceCache:
         with pytest.raises(ConfigurationError):
             PairwiseEMDEngine(backend="Simplex")  # typo: case-sensitive
         with pytest.raises(ConfigurationError):
-            PairwiseEMDEngine(backend="sinkhorn")  # typo for sinkhorn_batch
+            PairwiseEMDEngine(backend="sinkhorn")  # not a backend name
+        with pytest.raises(ConfigurationError):
+            PairwiseEMDEngine(backend="sinkhorn_batch")  # removed backend
 
     def test_histogram_detector_uses_cache(self, rng):
         # Histogram signatures over a fixed range share one bin-centre grid
@@ -439,7 +435,7 @@ class TestFromDenseVectorised:
         for bandwidth in (2, 4, 9, 15):  # including bandwidth > n
             banded = BandedDistanceMatrix.from_dense(sym, bandwidth)
             reference = BandedDistanceMatrix(9, bandwidth)
-            for i, j in reference.pairs():
+            for i, j in zip(*reference.pair_indices()):
                 reference[i, j] = sym[i, j]
             np.testing.assert_array_equal(
                 banded.band, reference.band
@@ -458,7 +454,7 @@ class TestBandedVsDense:
     def test_band_agrees_with_dense_matrix(self, rng, bandwidth):
         sigs = make_signatures(rng, n=11, offset_after=6)
         dense = emd_matrix(sigs)
-        banded = banded_emd_matrix(sigs, bandwidth)
+        banded = PairwiseEMDEngine().banded_matrix(sigs, bandwidth)
         exported = banded.to_dense()
         n = len(sigs)
         for i in range(n):

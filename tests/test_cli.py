@@ -39,6 +39,16 @@ class TestParser:
         assert args.tau == 5
         assert args.score == "kl"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--emd-backend", "sinkhorn_batch"], ["--sinkhorn-epsilon", "0.1"]],
+        ids=["removed-backend", "removed-flag"],
+    )
+    def test_removed_entropic_options_are_rejected(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path / "x.npz"), *flags])
+        assert excinfo.value.code == 2
+
     def test_custom_options(self, tmp_path):
         args = build_parser().parse_args(
             [str(tmp_path / "x.npz"), "--tau", "3", "--score", "lr", "--seed", "7"]

@@ -158,7 +158,7 @@ class TestRetryPolicy:
 # No-fault parity (every backend)
 # ---------------------------------------------------------------------- #
 class TestNoFaultParity:
-    @pytest.mark.parametrize("backend", ["auto", "linprog_batch", "sinkhorn_batch"])
+    @pytest.mark.parametrize("backend", ["auto", "linprog_batch"])
     def test_orchestrated_band_matches_plain(self, backend):
         signatures = histogram_signatures(20, seed=3)
         plan = ShardPlan.build(len(signatures), 6, 4)
@@ -458,14 +458,14 @@ class TestCheckpointValidation:
 
     def test_stale_fingerprint_checkpoint_is_requeued(self, tmp_path):
         signatures, plan = self.build_checkpoints(tmp_path)
-        stale, _ = make_orchestrator(plan, checkpoint_dir=tmp_path, backend="sinkhorn_batch")
+        stale, _ = make_orchestrator(plan, checkpoint_dir=tmp_path, backend="simplex")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             band = stale.run(signatures)
         assert stale.n_checkpoints_requeued == plan.n_shards
         assert stale.n_shards_resumed == 0
         assert any("engine configuration" in str(w.message) for w in caught)
-        assert_band_parity(band, reference_band(signatures, 6, "sinkhorn_batch"))
+        assert_band_parity(band, reference_band(signatures, 6, "simplex"))
 
 
 # ---------------------------------------------------------------------- #

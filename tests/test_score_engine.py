@@ -22,7 +22,7 @@ from repro.core import (
     score_batch,
 )
 from repro.core.thresholding import AdaptiveThreshold
-from repro.emd import banded_emd_matrix
+from repro.emd import PairwiseEMDEngine
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.information import (
     EstimatorConfig,
@@ -308,7 +308,7 @@ class TestEndToEndParity:
         # stream of a fresh default_rng(0) matches the detector's).
         cfg = DetectorConfig(**kwargs)
         signatures = BagChangePointDetector(DetectorConfig(**kwargs)).build_signatures(bags)
-        banded = banded_emd_matrix(signatures, cfg.window_span)
+        banded = PairwiseEMDEngine().banded_matrix(signatures, cfg.window_span)
         ref_base = resolve_weights(cfg.weighting, cfg.tau, is_test=False)
         test_base = resolve_weights(cfg.weighting, cfg.tau_test, is_test=True)
         bootstrap = BayesianBootstrap(cfg.n_bootstrap, alpha=cfg.alpha, rng=np.random.default_rng(0))

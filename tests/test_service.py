@@ -77,7 +77,6 @@ def backend_config(backend, **overrides):
         bins=3,
         histogram_range=[(-6.0, 10.0), (-6.0, 10.0)],
         emd_backend=backend,
-        sinkhorn_tol=1e-6,
         n_bootstrap=20,
         random_state=7,
     )

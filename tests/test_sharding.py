@@ -185,19 +185,13 @@ class TestShardPlan:
 # ---------------------------------------------------------------------- #
 class TestEngineSettings:
     def test_from_config_carries_solver_knobs(self):
-        config = DetectorConfig(
-            emd_backend="sinkhorn_batch",
-            sinkhorn_epsilon=0.1,
-            sinkhorn_max_iter=500,
-            sinkhorn_tol=1e-6,
-            sinkhorn_anneal=[1.0, 0.3],
-        )
+        config = DetectorConfig(ground_distance="manhattan", emd_backend="simplex")
         settings = EngineSettings.from_config(config)
-        assert settings.backend == "sinkhorn_batch"
-        assert settings.sinkhorn_anneal == (1.0, 0.3)
+        assert settings.ground_distance == "manhattan"
+        assert settings.backend == "simplex"
         engine = settings.make_engine()
-        assert engine.sinkhorn_schedule == (1.0, 0.3, 0.1)
-        assert engine.sinkhorn_tol == 1e-6
+        assert engine.ground_distance == "manhattan"
+        assert engine.backend == "simplex"
         engine.close()
 
     def test_fingerprint_changes_with_each_knob(self):
@@ -206,25 +200,23 @@ class TestEngineSettings:
         variants = [
             EngineSettings(ground_distance="manhattan"),
             EngineSettings(backend="linprog_batch"),
-            EngineSettings(sinkhorn_epsilon=0.1),
-            EngineSettings(sinkhorn_max_iter=100),
-            EngineSettings(sinkhorn_tol=1e-6),
-            EngineSettings(sinkhorn_anneal=(1.0,)),
+            EngineSettings(backend="simplex"),
         ]
         prints = {settings.fingerprint() for settings in variants}
         assert len(prints) == len(variants)
         assert base.fingerprint() not in prints
 
-    def test_invalid_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["nope", "sinkhorn_batch"])
+    def test_invalid_backend_rejected(self, backend):
         with pytest.raises(ConfigurationError):
-            EngineSettings(backend="nope")
+            EngineSettings(backend=backend)
 
 
 # ---------------------------------------------------------------------- #
 # Merge parity with the single-process build
 # ---------------------------------------------------------------------- #
 class TestMergeParity:
-    @pytest.mark.parametrize("backend", ["auto", "linprog_batch", "sinkhorn_batch"])
+    @pytest.mark.parametrize("backend", ["auto", "linprog_batch"])
     def test_histogram_band_matches_single_process(self, backend):
         signatures = histogram_signatures(24, seed=3)
         bandwidth = 6
@@ -323,7 +315,7 @@ class TestCheckpoints:
         runner.run(signatures)
         stale = ShardRunner(
             plan,
-            EngineSettings(sinkhorn_epsilon=0.99),
+            EngineSettings(ground_distance="manhattan"),
             mode="serial",
             checkpoint_dir=tmp_path / "ckpt",
         )
@@ -470,7 +462,7 @@ class TestDetectorIntegration:
 # ---------------------------------------------------------------------- #
 @pytest.mark.faults
 class TestCrashResumeProperty:
-    @pytest.mark.parametrize("backend", ["auto", "linprog_batch", "sinkhorn_batch"])
+    @pytest.mark.parametrize("backend", ["auto", "linprog_batch"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_killed_build_resumes_to_parity(self, tmp_path, backend, seed):
         from repro.emd.orchestrator import WorkerCrash

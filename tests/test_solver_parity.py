@@ -1,18 +1,16 @@
 """Cross-solver parity harness and EMD metric-invariant property tests.
 
-The solver matrix has five entries — the closed-form 1-D fast path, the
-transportation simplex, the per-pair HiGHS LP, the block-diagonal
-batched LP and the tensor-batched entropic Sinkhorn — and the detector
-freely routes pairs between them.  This module pins down what "the same
-distance" means across that matrix:
+The solver matrix has four entries, all exact — the closed-form 1-D fast
+path, the transportation simplex, the per-pair HiGHS LP and the
+block-diagonal batched LP — and the detector freely routes pairs between
+them.  This module pins down what "the same distance" means across that
+matrix:
 
-* every *exact* path (everything except Sinkhorn) must agree with the
-  per-pair LP reference to within ``1e-9`` on one shared fixture corpus
-  covering common-support histograms, unequal total masses, zero-weight
-  atoms, single-atom signatures and 1-/2-/3-dimensional supports;
-* the entropic path must converge to those exact values under an
-  epsilon-annealing schedule;
-* every exact backend must satisfy the EMD's metric invariants
+* every path must agree with the per-pair LP reference to within
+  ``1e-9`` on one shared fixture corpus covering common-support
+  histograms, unequal total masses, zero-weight atoms, single-atom
+  signatures and 1-/2-/3-dimensional supports;
+* every backend must satisfy the EMD's metric invariants
   (non-negativity, symmetry, identity of indiscernibles, triangle
   inequality) on seeded random normalised signatures;
 * a :class:`~repro.exceptions.SolverError` escaping a *batched* group
@@ -28,20 +26,16 @@ from repro.emd import (
     EMD_SOLVERS,
     PairwiseEMDEngine,
     emd,
-    sinkhorn_transport_batch,
     solve_emd_linprog,
     solve_emd_linprog_batch,
     solve_unbalanced_transportation,
 )
 from repro.emd.ground_distance import cross_distance_matrix
-from repro.exceptions import SolverError
+from repro.exceptions import ConfigurationError, SolverError
 from repro.signatures import Signature
 
 #: Maximum disagreement tolerated between any two exact solve paths.
 PARITY_TOL = 1e-9
-
-#: Engine backends that compute the exact partial-matching EMD.
-EXACT_BACKENDS = tuple(b for b in EMD_SOLVERS if b != "sinkhorn_batch")
 
 
 def _grid(side, dim):
@@ -122,7 +116,7 @@ def reference():
 # Cross-solver parity on the shared corpus
 # ---------------------------------------------------------------------- #
 class TestExactSolverParity:
-    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    @pytest.mark.parametrize("backend", EMD_SOLVERS)
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_engine_backend_matches_reference(self, backend, name, reference):
         sig_a, sig_b = CORPUS[name]
@@ -131,7 +125,7 @@ class TestExactSolverParity:
                 reference[name], abs=PARITY_TOL
             )
 
-    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    @pytest.mark.parametrize("backend", EMD_SOLVERS)
     def test_engine_backend_matches_reference_in_one_batch(self, backend, reference):
         # The whole corpus in a single compute_pairs call exercises the
         # stacked route's (d, K_a, K_b) grouping across mixed shapes and
@@ -200,25 +194,6 @@ class TestExactSolverParity:
                 min(supply[p].sum(), demand[p].sum()), abs=1e-9
             )
 
-    @pytest.mark.parametrize("name", CASE_NAMES)
-    def test_sinkhorn_converges_to_exact_under_annealing(self, name):
-        # The entropic solver computes the normalised-mass balanced EMD,
-        # so the exact target is the partial-matching EMD of the
-        # *normalised* signatures (identical for equal-mass pairs).
-        sig_a, sig_b = CORPUS[name]
-        exact = emd(sig_a.normalized(), sig_b.normalized(), backend="linprog")
-        cost = cross_distance_matrix(sig_a.positions, sig_b.positions, "euclidean")
-        result = sinkhorn_transport_batch(
-            cost,
-            sig_a.weights[None, :],
-            sig_b.weights[None, :],
-            epsilon=[1.0, 0.3, 0.1, 0.03, 0.01],
-            max_iter=5000,
-        )
-        assert result.distances[0] == pytest.approx(exact, rel=5e-3, abs=5e-3)
-        # Entropic smoothing can only blur the optimal plan upwards.
-        assert result.distances[0] >= exact - 1e-8
-
 
 # ---------------------------------------------------------------------- #
 # Metric invariants per exact backend (seeded property tests)
@@ -230,7 +205,7 @@ def _random_normalised_signature(rng, dim, max_size=6):
     return Signature(positions, weights / weights.sum())
 
 
-@pytest.mark.parametrize("backend", EXACT_BACKENDS)
+@pytest.mark.parametrize("backend", EMD_SOLVERS)
 @pytest.mark.parametrize("seed", (0, 1, 2, 3, 4))
 class TestMetricInvariants:
     """EMD on normalised signatures is a metric; each backend must honour it."""
@@ -288,10 +263,7 @@ class TestBatchedGroupErrorContext:
         assert error.pair_indices == (3, 1)
         assert SolverError("boom").pair_indices is None
 
-    @pytest.mark.parametrize("backend", ("sinkhorn_batch", "linprog_batch"))
-    def test_group_failure_reports_compute_pairs_positions(
-        self, backend, monkeypatch
-    ):
+    def test_group_failure_reports_compute_pairs_positions(self, monkeypatch):
         # Batch layout: positions 0, 2 and 3 form one common-support
         # group; position 1 is an irregular pair solved in a group of
         # its own.  A failure attributed to row 1 of the first stacked
@@ -310,22 +282,14 @@ class TestBatchedGroupErrorContext:
         def failing_solver(*args, **kwargs):
             raise SolverError("synthetic stacked failure", pair_indices=[1])
 
-        target = (
-            "sinkhorn_transport_batch"
-            if backend == "sinkhorn_batch"
-            else "solve_emd_linprog_batch"
-        )
-        monkeypatch.setattr(batch_module, target, failing_solver)
-        engine = PairwiseEMDEngine(backend=backend)
+        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_solver)
+        engine = PairwiseEMDEngine(backend="linprog_batch")
         with pytest.raises(SolverError) as excinfo:
             engine.compute_pairs(pairs)
         assert excinfo.value.pair_indices == (2,)
         assert "[2]" in str(excinfo.value)
 
-    @pytest.mark.parametrize("backend", ("sinkhorn_batch", "linprog_batch"))
-    def test_unattributed_group_failure_reports_whole_group(
-        self, backend, monkeypatch
-    ):
+    def test_unattributed_group_failure_reports_whole_group(self, monkeypatch):
         from repro.emd import batch as batch_module
 
         rng = np.random.default_rng(1)
@@ -338,13 +302,8 @@ class TestBatchedGroupErrorContext:
         def failing_solver(*args, **kwargs):
             raise SolverError("synthetic stacked failure")
 
-        target = (
-            "sinkhorn_transport_batch"
-            if backend == "sinkhorn_batch"
-            else "solve_emd_linprog_batch"
-        )
-        monkeypatch.setattr(batch_module, target, failing_solver)
-        engine = PairwiseEMDEngine(backend=backend)
+        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_solver)
+        engine = PairwiseEMDEngine(backend="linprog_batch")
         with pytest.raises(SolverError) as excinfo:
             engine.compute_pairs(pairs)
         assert excinfo.value.pair_indices == (0, 1, 2)
@@ -411,6 +370,7 @@ class TestDetectorWiring:
             batched.lower, reference.lower, atol=PARITY_TOL, rtol=0
         )
 
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(Exception):
-            DetectorConfig(emd_backend="linprog_block")
+    @pytest.mark.parametrize("backend", ["linprog_block", "sinkhorn_batch"])
+    def test_config_rejects_unknown_backend(self, backend):
+        with pytest.raises(ConfigurationError):
+            DetectorConfig(emd_backend=backend)

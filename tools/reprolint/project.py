@@ -25,7 +25,6 @@ DEFAULT_REGISTRY: Final[Tuple[str, ...]] = (  # reprolint: disable=RL001
     "linprog",
     "linprog_batch",
     "simplex",
-    "sinkhorn_batch",
 )
 
 #: Variable / parameter / attribute names treated as holding a solver
@@ -84,12 +83,8 @@ SOLVER_CALL_NAMES: Final[FrozenSet[str]] = frozenset(
         "emd",
         "emd_with_flow",
         "banded_matrix",
-        "banded_emd_matrix",
         "solve_emd_linprog",
         "solve_emd_linprog_batch",
-        "sinkhorn_emd",
-        "sinkhorn_transport",
-        "sinkhorn_transport_batch",
         "solve_transportation",
     }
 )

@@ -1,8 +1,7 @@
 """RL005 — every ``DetectorConfig`` field is reachable from the CLI.
 
-PR 5 plumbed the Sinkhorn tolerance and annealing schedule end to end
-after they had silently existed engine-side only; this rule prevents
-the next knob from being stranded.  It collects the field names of the
+Solver knobs have existed engine-side only, silently unreachable from
+the command line; this rule prevents the next knob from being stranded.  It collects the field names of the
 ``DetectorConfig`` dataclass and the keyword arguments of every
 ``DetectorConfig(...)`` construction in the linted file set (the CLI
 builds its config with explicit keywords), then reports any field that
