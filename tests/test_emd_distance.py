@@ -14,6 +14,7 @@ from repro.emd import (
     resolve_ground_distance,
     wasserstein_1d,
 )
+from repro.emd.registry import PAIRWISE_SOLVERS
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.signatures import Signature
 
@@ -192,6 +193,78 @@ class TestEmd:
         a = sig(rng.normal(size=(4, 2)), rng.uniform(1, 2, 4))
         b = sig(rng.normal(size=(5, 2)), rng.uniform(1, 2, 5))
         assert emd(a.scaled(3.0), b.scaled(3.0)) == pytest.approx(emd(a, b), rel=1e-7)
+
+
+#: Cost of moving unit mass along a displacement ``delta`` under each
+#: built-in ground distance.  Each is a convex function of ``delta``.
+GROUND_COSTS = {
+    "euclidean": lambda delta: float(np.linalg.norm(delta)),
+    "cityblock": lambda delta: float(np.abs(delta).sum()),
+    "chebyshev": lambda delta: float(np.abs(delta).max()),
+    "sqeuclidean": lambda delta: float(delta @ delta),
+}
+
+
+@pytest.mark.parametrize("backend", PAIRWISE_SOLVERS)
+class TestPartialMatchingProperties:
+    """Properties of the exact partial-matching EMD (paper Eqs. 11-12)."""
+
+    def test_flow_is_a_feasible_partial_matching(self, backend, rng):
+        a = sig(rng.normal(size=(4, 2)), rng.uniform(1, 3, 4))
+        b = sig(rng.normal(size=(6, 2)), rng.uniform(1, 3, 6))
+        result = emd_with_flow(a, b, backend=backend)
+        flow = result.flow
+        assert flow.shape == (4, 6)
+        assert flow.min() >= -1e-9
+        assert np.all(flow.sum(axis=1) <= a.weights + 1e-9)
+        assert np.all(flow.sum(axis=0) <= b.weights + 1e-9)
+        assert result.total_flow == pytest.approx(min(a.total_weight, b.total_weight))
+        assert flow.sum() == pytest.approx(result.total_flow)
+        cost = cross_distance_matrix(a.positions, b.positions)
+        assert result.cost == pytest.approx(float((flow * cost).sum()), rel=1e-7)
+        assert result.distance == pytest.approx(result.cost / result.total_flow)
+
+    def test_bounded_by_the_ground_cost_range(self, backend, rng):
+        a = sig(rng.normal(size=(5, 3)), rng.uniform(1, 3, 5))
+        b = sig(rng.normal(2.0, 1.0, size=(3, 3)), rng.uniform(1, 3, 3))
+        cost = cross_distance_matrix(a.positions, b.positions)
+        distance = emd(a, b, backend=backend)
+        assert cost.min() - 1e-9 <= distance <= cost.max() + 1e-9
+
+    def test_point_mass_receiving_all_flow(self, backend, rng):
+        # A single atom heavier than the whole of ``b`` absorbs all of
+        # b's mass, so the EMD is b's mean distance to that atom.
+        b = sig(rng.normal(size=(5, 2)), rng.uniform(1, 3, 5))
+        x = rng.normal(size=2)
+        a = sig([x], [b.total_weight + 2.0])
+        expected = float(b.weights @ np.linalg.norm(b.positions - x, axis=1))
+        assert emd(a, b, backend=backend) == pytest.approx(
+            expected / b.total_weight, rel=1e-7
+        )
+
+    def test_far_excess_mass_is_left_unmatched(self, backend, rng):
+        # ``b`` already carries more mass than ``a``; an extra atom farther
+        # from every atom of ``a`` than any atom of ``b`` is never used.
+        a = sig(rng.normal(size=(4, 2)), rng.uniform(1, 2, 4))
+        b = sig(rng.normal(size=(5, 2)), rng.uniform(2, 3, 5))
+        padded = sig(
+            np.vstack([b.positions, [[50.0, -50.0]]]),
+            np.append(b.weights, 4.0),
+        )
+        assert emd(a, padded, backend=backend) == pytest.approx(
+            emd(a, b, backend=backend), rel=1e-7
+        )
+
+    @pytest.mark.parametrize("ground_distance", sorted(GROUND_COSTS))
+    def test_centroid_lower_bound(self, backend, ground_distance, rng):
+        # For equal masses, Jensen's inequality on the convex ground cost
+        # gives EMD(a, b) >= cost(mean(a) - mean(b)).
+        a = sig(rng.normal(size=(5, 2)), rng.uniform(1, 3, 5)).normalized()
+        b = sig(rng.normal(1.0, 2.0, size=(4, 2)), rng.uniform(1, 3, 4)).normalized()
+        bound = GROUND_COSTS[ground_distance](a.mean() - b.mean())
+        distance = emd(a, b, ground_distance=ground_distance, backend=backend)
+        assert bound > 0.1
+        assert distance >= bound - 1e-9
 
 
 class TestEmdMatrices:

@@ -12,7 +12,17 @@ oracle independent of the engine's own routes:
   Euclidean ground distance depends only on differences);
 * multiplying every signature's weights by one constant — replicating
   every point of every bag — which scales both the optimal cost and the
-  total flow, so the normalised EMD is unchanged.
+  total flow, so the normalised EMD is unchanged;
+* mapping every signature's positions through one orthogonal matrix
+  that includes a reflection (the Euclidean ground distance is
+  invariant under isometries);
+* splitting every atom into two co-located atoms that share its weight
+  (the EMD depends on the measure, not on how it is written down).
+
+Two further relations are equivariances rather than invariances:
+reversing the signature sequence reverses the band (the EMD is
+symmetric), and scaling every position by ``c`` scales the band by
+``c`` (the Euclidean ground distance is homogeneous of degree one).
 
 The signatures cover the k-means, histogram and exact builders in 1-D
 and 2-D.  Bag sizes vary, so the band mixes unequal-mass pairs (stacked
@@ -64,7 +74,31 @@ def replicate_points(signatures, rng):
     return [Signature(sig.positions, 3.0 * sig.weights) for sig in signatures]
 
 
-@pytest.mark.parametrize("transform", [permute_atoms, translate, replicate_points])
+def orthogonal_map(signatures, rng):
+    dimension = signatures[0].dimension
+    q, _ = np.linalg.qr(rng.normal(size=(dimension, dimension)))
+    if np.linalg.det(q) > 0:
+        q[:, 0] = -q[:, 0]  # always include a reflection, also in 1-D
+    return [Signature(sig.positions @ q, sig.weights) for sig in signatures]
+
+
+def split_atoms(signatures, rng):
+    out = []
+    for sig in signatures:
+        share = rng.uniform(0.2, 0.8, size=sig.size)
+        out.append(
+            Signature(
+                np.concatenate([sig.positions, sig.positions]),
+                np.concatenate([share * sig.weights, (1.0 - share) * sig.weights]),
+            )
+        )
+    return out
+
+
+TRANSFORMS = [permute_atoms, translate, replicate_points, orthogonal_map, split_atoms]
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS)
 @pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("method", ["kmeans", "histogram", "exact"])
 def test_band_is_invariant(method, dimension, transform):
@@ -76,3 +110,26 @@ def test_band_is_invariant(method, dimension, transform):
     assert np.nanmax(np.abs(band - reference)) <= TOL
     # The band is not degenerate: the mean shift at t=6 shows up in it.
     assert np.nanmax(reference) > 1.0
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("method", ["kmeans", "histogram", "exact"])
+def test_band_reverses_with_the_sequence(method, dimension):
+    signatures = make_signatures(method, dimension)
+    reference = PairwiseEMDEngine().banded_matrix(signatures, BANDWIDTH).to_dense()
+    reversed_band = PairwiseEMDEngine().banded_matrix(signatures[::-1], BANDWIDTH)
+    np.testing.assert_allclose(
+        reversed_band.to_dense(), reference[::-1, ::-1], rtol=0.0, atol=TOL
+    )
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("method", ["kmeans", "histogram", "exact"])
+def test_band_scales_with_positions(method, dimension):
+    scale = 2.5
+    signatures = make_signatures(method, dimension)
+    scaled = [Signature(scale * sig.positions, sig.weights) for sig in signatures]
+    reference = PairwiseEMDEngine().banded_matrix(signatures, BANDWIDTH).band
+    band = PairwiseEMDEngine().banded_matrix(scaled, BANDWIDTH).band
+    assert np.array_equal(np.isnan(band), np.isnan(reference))
+    assert np.nanmax(np.abs(band - scale * reference)) <= scale * TOL

@@ -17,7 +17,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.emd import PairwiseEMDEngine
+from repro.emd import EMD_SOLVERS, PairwiseEMDEngine
 from repro.emd.orchestrator import (
     QUARANTINE_FILENAME,
     InlineWorkerBackend,
@@ -158,7 +158,7 @@ class TestRetryPolicy:
 # No-fault parity (every backend)
 # ---------------------------------------------------------------------- #
 class TestNoFaultParity:
-    @pytest.mark.parametrize("backend", ["auto", "linprog_batch"])
+    @pytest.mark.parametrize("backend", EMD_SOLVERS)
     def test_orchestrated_band_matches_plain(self, backend):
         signatures = histogram_signatures(20, seed=3)
         plan = ShardPlan.build(len(signatures), 6, 4)

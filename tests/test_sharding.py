@@ -8,6 +8,7 @@ import pytest
 from repro import BagChangePointDetector
 from repro.core import DetectorConfig
 from repro.emd import (
+    EMD_SOLVERS,
     BandedDistanceMatrix,
     EngineSettings,
     PairwiseEMDEngine,
@@ -216,7 +217,7 @@ class TestEngineSettings:
 # Merge parity with the single-process build
 # ---------------------------------------------------------------------- #
 class TestMergeParity:
-    @pytest.mark.parametrize("backend", ["auto", "linprog_batch"])
+    @pytest.mark.parametrize("backend", EMD_SOLVERS)
     def test_histogram_band_matches_single_process(self, backend):
         signatures = histogram_signatures(24, seed=3)
         bandwidth = 6
@@ -462,7 +463,7 @@ class TestDetectorIntegration:
 # ---------------------------------------------------------------------- #
 @pytest.mark.faults
 class TestCrashResumeProperty:
-    @pytest.mark.parametrize("backend", ["auto", "linprog_batch"])
+    @pytest.mark.parametrize("backend", EMD_SOLVERS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_killed_build_resumes_to_parity(self, tmp_path, backend, seed):
         from repro.emd.orchestrator import WorkerCrash
