@@ -40,7 +40,6 @@ from scipy.optimize import linprog
 
 from .._validation import check_positive_int
 from ..exceptions import SolverError, ValidationError
-from .numerics import check_batch_shapes, check_weight_rows
 from .transportation import TransportPlan
 
 #: Cap on the number of LP variables (``P_chunk * m * n``) assembled into
@@ -51,6 +50,52 @@ from .transportation import TransportPlan
 #: RSS by ~12 MB (88 -> 100 MB on 150 1-D bags), whereas 2,048 kept it
 #: within ~3 MB at an unchanged band-build time.
 _MAX_BATCH_VARIABLES = 2_048
+
+
+def _check_weight_rows(weights: np.ndarray, name: str) -> np.ndarray:
+    """Validate a ``(P, n_atoms)`` batch of non-negative weight rows.
+
+    Rows are *not* normalised and zero-total rows are *not* rejected:
+    the partial-matching LP takes raw weights and treats a zero-total
+    row as a trivially solved pair.
+    """
+    arr = np.asarray(weights, dtype=float)
+    if arr.ndim != 2:
+        raise ValidationError(f"{name} must be a 2-D (P, n_atoms) array")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} contains NaN or infinite values")
+    if np.any(arr < 0):
+        raise ValidationError(f"{name} must be non-negative")
+    return arr
+
+
+def _check_batch_shapes(
+    cost: np.ndarray, supply: np.ndarray, demand: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """Validate a batched problem's cost/weights geometry.
+
+    ``supply`` and ``demand`` must already be validated 2-D rows (see
+    :func:`_check_weight_rows`).  Returns the cost as a float array
+    together with the pair count ``P``.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim not in (2, 3):
+        raise ValidationError("cost must have shape (K, L) or (P, K, L)")
+    n_pairs = supply.shape[0]
+    if demand.shape[0] != n_pairs:
+        raise ValidationError(
+            f"supply has {n_pairs} rows but demand has {demand.shape[0]}"
+        )
+    expected = (supply.shape[1], demand.shape[1])
+    if cost.shape[-2:] != expected:
+        raise ValidationError(
+            f"cost has shape {cost.shape}, expected trailing dimensions {expected}"
+        )
+    if cost.ndim == 3 and cost.shape[0] != n_pairs:
+        raise ValidationError(
+            f"per-pair cost has {cost.shape[0]} matrices for {n_pairs} pairs"
+        )
+    return cost, n_pairs
 
 
 def chunk_slices(
@@ -234,9 +279,9 @@ def solve_emd_linprog_batch(
         each exactly equal to what per-pair :func:`solve_emd_linprog`
         produces (same LP, same solver — not an approximation).
     """
-    supply = check_weight_rows(supply, "supply")
-    demand = check_weight_rows(demand, "demand")
-    cost, n_pairs = check_batch_shapes(cost, supply, demand, names=("supply", "demand"))
+    supply = _check_weight_rows(supply, "supply")
+    demand = _check_weight_rows(demand, "demand")
+    cost, n_pairs = _check_batch_shapes(cost, supply, demand)
     if cost.size and not np.all(np.isfinite(cost)):
         raise ValidationError("cost matrix contains non-finite values")
     max_batch_variables = check_positive_int(max_batch_variables, "max_batch_variables")

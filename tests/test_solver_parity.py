@@ -31,7 +31,7 @@ from repro.emd import (
     solve_unbalanced_transportation,
 )
 from repro.emd.ground_distance import cross_distance_matrix
-from repro.exceptions import ConfigurationError, SolverError
+from repro.exceptions import ConfigurationError, SolverError, ValidationError
 from repro.signatures import Signature
 
 #: Maximum disagreement tolerated between any two exact solve paths.
@@ -337,6 +337,42 @@ class TestBatchedGroupErrorContext:
             solve_emd_linprog_batch(cost, supply, demand, max_batch_variables=9)
         assert excinfo.value.pair_indices == (1,)
         assert "synthetic HiGHS failure" in str(excinfo.value)
+
+
+class TestBatchValidation:
+    """Malformed input to the stacked LP is rejected before any solve."""
+
+    def test_wrong_weight_dimensionality_rejected(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            solve_emd_linprog_batch(np.ones((2, 2)), np.ones(2), np.ones((1, 2)))
+
+    def test_mismatched_pair_counts_rejected(self):
+        with pytest.raises(ValidationError, match="rows"):
+            solve_emd_linprog_batch(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)))
+
+    def test_mismatched_cost_shape_rejected(self):
+        with pytest.raises(ValidationError, match="trailing dimensions"):
+            solve_emd_linprog_batch(np.ones((3, 2)), np.ones((1, 2)), np.ones((1, 2)))
+        with pytest.raises(ValidationError, match="matrices for 3 pairs"):
+            solve_emd_linprog_batch(np.ones((4, 2, 2)), np.ones((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ValidationError, match="shape"):
+            solve_emd_linprog_batch(np.ones(2), np.ones((1, 2)), np.ones((1, 2)))
+
+    def test_negative_weights_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            solve_emd_linprog_batch(
+                np.ones((2, 2)), np.array([[1.0, -0.5]]), np.ones((1, 2))
+            )
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            solve_emd_linprog_batch(
+                np.ones((2, 2)), np.ones((1, 2)), np.array([[1.0, np.nan]])
+            )
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_emd_linprog_batch(
+                np.array([[0.0, np.inf], [1.0, 0.0]]), np.ones((1, 2)), np.ones((1, 2))
+            )
 
 
 # ---------------------------------------------------------------------- #
