@@ -8,7 +8,7 @@ detector needs for a long bag sequence, three ways:
 * ``banded`` — only the tau + tau' band, batched through
   :class:`repro.emd.PairwiseEMDEngine` (what the detector actually
   reads);
-* ``banded+threads`` — the same band with the engine's thread pool.
+* ``banded+processes`` — the same band with the engine's process pool.
 
 Run standalone::
 
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     parser.add_argument("--bags", type=int, default=200, help="sequence length")
     parser.add_argument("--bag-size", type=float, default=40.0, help="mean points per bag")
     parser.add_argument("--bandwidth", type=int, default=10, help="tau + tau' band width")
-    parser.add_argument("--workers", type=int, default=4, help="thread-pool size")
+    parser.add_argument("--workers", type=int, default=4, help="process-pool size")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--threshold", type=float, default=2.0,
@@ -82,17 +82,17 @@ def main(argv=None) -> int:
     )
     rows.append((label, serial_engine.n_evaluations, banded_time))
 
-    with PairwiseEMDEngine(parallel_backend="thread", n_workers=args.workers) as threaded_engine:
-        label, threaded_time, _ = timed(
-            "banded+threads", lambda: threaded_engine.banded_matrix(signatures, bandwidth)
+    with PairwiseEMDEngine(parallel_backend="process", n_workers=args.workers) as pooled_engine:
+        label, pooled_time, _ = timed(
+            "banded+processes", lambda: pooled_engine.banded_matrix(signatures, bandwidth)
         )
-        rows.append((label, threaded_engine.n_evaluations, threaded_time))
+        rows.append((label, pooled_engine.n_evaluations, pooled_time))
 
     print(f"\n{n_bags} bags, band width {bandwidth}, {args.workers} workers")
-    print(f"{'method':<16}{'EMD solves':>12}{'seconds':>10}{'speed-up':>10}")
+    print(f"{'method':<18}{'EMD solves':>12}{'seconds':>10}{'speed-up':>10}")
     for label, solves, elapsed in rows:
         speedup = dense_time / elapsed if elapsed > 0 else float("inf")
-        print(f"{label:<16}{solves:>12}{elapsed:>10.3f}{speedup:>10.2f}x")
+        print(f"{label:<18}{solves:>12}{elapsed:>10.3f}{speedup:>10.2f}x")
 
     speedup = dense_time / banded_time if banded_time > 0 else float("inf")
     passed = args.quick or speedup >= args.threshold
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
             "bandwidth": bandwidth,
             "dense_seconds": dense_time,
             "banded_seconds": banded_time,
-            "threaded_seconds": threaded_time,
+            "pooled_seconds": pooled_time,
             "speedup_vs_dense": speedup,
             "threshold": args.threshold,
             "threshold_enforced": not args.quick,

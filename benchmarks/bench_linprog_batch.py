@@ -15,12 +15,12 @@ Three sections:
   sequence solved per-pair vs batched, with a strict 1e-9 parity check
   on the resulting distances;
 * **engine** — context: the full band build over histogram signatures
-  with varying bin occupancy through :class:`repro.emd.PairwiseEMDEngine`,
-  ``backend="linprog"`` (per-pair LP) vs ``backend="linprog_batch"``
-  (stacked LPs grouped by ``(d, K_a, K_b)``);
+  with varying bin occupancy, one ``emd(backend="linprog")`` call per
+  pair vs :class:`repro.emd.PairwiseEMDEngine` (stacked LPs grouped by
+  ``(d, K_a, K_b)``);
 * **kmeans** — enforced: the band of a default-config detector
-  (k-means signatures, K=8, ``τ + τ′ = 10``) built by ``backend="auto"``
-  vs forced per-pair ``backend="linprog"``.  Every support is distinct,
+  (k-means signatures, K=8, ``τ + τ′ = 10``) built by the engine vs one
+  ``emd(backend="linprog")`` call per pair.  Every support is distinct,
   so this is the route the detector takes by default.
 
 Run standalone::
@@ -30,7 +30,7 @@ Run standalone::
 
 In full mode the script exits non-zero unless the batched solver is at
 least ``--threshold`` times faster than the per-pair loop (default 3x)
-and ``auto`` builds the k-means band at least ``KMEANS_SPEEDUP`` (4x)
+and the engine builds the k-means band at least ``KMEANS_SPEEDUP`` (4x)
 times faster than per-pair ``linprog``.  The 1e-9 parity
 gates apply in both modes — exactness is the point of these routes.
 """
@@ -45,6 +45,7 @@ import numpy as np
 from repro.emd import (
     BandedDistanceMatrix,
     PairwiseEMDEngine,
+    emd,
     solve_emd_linprog,
     solve_emd_linprog_batch,
 )
@@ -97,6 +98,18 @@ def make_kmeans_signatures(n_bags, bag_size, seed):
         config.signature_method, n_clusters=config.n_clusters, random_state=seed
     )
     return builder.build_sequence(bags), config.window_span
+
+
+def per_pair_band(signatures, bandwidth):
+    """The band from one ``emd(backend="linprog")`` call per pair."""
+    band = BandedDistanceMatrix(len(signatures), bandwidth)
+    rows, cols = band.pair_indices()
+    values = [
+        emd(signatures[i], signatures[j], backend="linprog")
+        for i, j in zip(rows.tolist(), cols.tolist())
+    ]
+    band.set_pairs(rows, cols, np.asarray(values))
+    return band
 
 
 def timed(func):
@@ -169,12 +182,8 @@ def main(argv=None) -> int:
     # ------------------------------------------------------------------ #
     signatures = make_histogram_signatures(n_bags, args.side, args.dim, args.seed)
 
-    lp_time, lp_band = timed(
-        lambda: PairwiseEMDEngine(backend="linprog").banded_matrix(
-            signatures, bandwidth
-        )
-    )
-    batch_engine = PairwiseEMDEngine(backend="linprog_batch")
+    lp_time, lp_band = timed(lambda: per_pair_band(signatures, bandwidth))
+    batch_engine = PairwiseEMDEngine()
     engine_time, batch_band = timed(
         lambda: batch_engine.banded_matrix(signatures, bandwidth)
     )
@@ -185,34 +194,34 @@ def main(argv=None) -> int:
         f"({batch_engine.n_evaluations} pairs, "
         f"{batch_engine.n_linprog_batched} batched)"
     )
-    print(f"{'backend':<16}{'seconds':>10}{'speed-up':>10}")
-    print(f"{'linprog':<16}{lp_time:>10.3f}{1.0:>10.2f}x")
-    print(f"{'linprog_batch':<16}{engine_time:>10.3f}{engine_speedup:>10.2f}x")
-    print(f"max band |linprog_batch - linprog| = {engine_diff:.2e}")
+    print(f"{'route':<16}{'seconds':>10}{'speed-up':>10}")
+    print(f"{'per-pair emd':<16}{lp_time:>10.3f}{1.0:>10.2f}x")
+    print(f"{'engine':<16}{engine_time:>10.3f}{engine_speedup:>10.2f}x")
+    print(f"max band |engine - per-pair| = {engine_diff:.2e}")
 
     # ------------------------------------------------------------------ #
     # k-means section: the default detector's band, auto vs per-pair LP.
     # ------------------------------------------------------------------ #
     kmeans_bags = 24 if args.quick else KMEANS_BAGS
     kmeans_signatures, span = make_kmeans_signatures(kmeans_bags, 100, args.seed)
-    per_pair_time, per_pair_band = timed(
-        lambda: PairwiseEMDEngine(backend="linprog").banded_matrix(kmeans_signatures, span)
+    per_pair_time, kmeans_lp_band = timed(
+        lambda: per_pair_band(kmeans_signatures, span)
     )
-    auto_engine = PairwiseEMDEngine(backend="auto")
+    auto_engine = PairwiseEMDEngine()
     auto_time, auto_band = timed(
         lambda: auto_engine.banded_matrix(kmeans_signatures, span)
     )
-    kmeans_diff = float(np.nanmax(np.abs(per_pair_band.band - auto_band.band)))
+    kmeans_diff = float(np.nanmax(np.abs(kmeans_lp_band.band - auto_band.band)))
     kmeans_speedup = per_pair_time / auto_time if auto_time > 0 else float("inf")
     print(
         f"\nkmeans: default-config band, {kmeans_bags} bags, width {span} "
         f"({auto_engine.n_evaluations} pairs: {auto_engine.n_linprog_batched} "
         f"stacked, {auto_engine.n_fast_path} closed-form)"
     )
-    print(f"{'backend':<16}{'seconds':>10}{'speed-up':>10}")
-    print(f"{'linprog':<16}{per_pair_time:>10.3f}{1.0:>10.2f}x")
-    print(f"{'auto':<16}{auto_time:>10.3f}{kmeans_speedup:>10.2f}x")
-    print(f"max band |auto - linprog| = {kmeans_diff:.2e}")
+    print(f"{'route':<16}{'seconds':>10}{'speed-up':>10}")
+    print(f"{'per-pair emd':<16}{per_pair_time:>10.3f}{1.0:>10.2f}x")
+    print(f"{'engine':<16}{auto_time:>10.3f}{kmeans_speedup:>10.2f}x")
+    print(f"max band |engine - per-pair| = {kmeans_diff:.2e}")
 
     worst_diff = max(max_diff, engine_diff, kmeans_diff)
     parity_ok = worst_diff <= PARITY_TOL

@@ -54,10 +54,9 @@ import numpy as np
 
 from .core import BagChangePointDetector, BagSequence, DetectorConfig
 from .core.config import SCORES, SIGNATURE_METHODS, WEIGHTINGS
-from .emd import EMD_SOLVERS
 from .emd.ground_distance import GROUND_DISTANCES
 from .emd.orchestrator import RetryPolicy, ShardOrchestrator
-from .emd.registry import PARALLEL_BACKENDS, POISON_POLICIES, SHARD_MODES
+from .emd.registry import PARALLEL_BACKENDS, POISON_POLICIES
 from .emd.sharding import EngineSettings, ShardPlan
 from .exceptions import ValidationError
 from .service import (
@@ -121,14 +120,6 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
         default="euclidean",
         help="ground distance of the EMD between signature representatives",
     )
-    parser.add_argument(
-        "--emd-backend",
-        choices=EMD_SOLVERS,
-        default="auto",
-        help="exact transportation solver: auto (1-D closed form plus "
-        "stacked LPs; linprog_batch is a second name for it) or one LP "
-        "per pair (linprog/simplex)",
-    )
     parser.add_argument("--seed", type=int, default=None, help="random seed")
 
 
@@ -180,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker-pool size for --parallel thread/process (default: CPU count)",
+        help="worker-pool size for --parallel process (default: CPU count)",
     )
     parser.add_argument(
         "--n-shards", type=int, default=None,
@@ -221,13 +212,13 @@ def build_shard_parser() -> argparse.ArgumentParser:
         help="number of contiguous row-block shards",
     )
     parser.add_argument(
-        "--mode", choices=SHARD_MODES, default="process",
-        help="execute pending shards on a process pool (signatures in "
-        "shared memory) or sequentially in-process",
+        "--mode", choices=PARALLEL_BACKENDS, default="process",
+        help="run each pending shard attempt in its own worker process "
+        "(signatures in shared memory) or sequentially in-process",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="process-pool size (default: CPU count)",
+        help="maximum concurrently running shard attempts (default: CPU count)",
     )
     parser.add_argument(
         "--checkpoint-dir", type=Path, default=None,
@@ -341,7 +332,6 @@ def serve_replay_main(argv: Optional[Sequence[str]] = None) -> int:
             n_clusters=args.clusters,
             bins=args.bins,
             ground_distance=args.ground_distance,
-            emd_backend=args.emd_backend,
             history_limit=args.history_limit,
             lr_inspection_index=args.lr_inspection_index,
             weighting=args.weighting,
@@ -419,7 +409,6 @@ def shard_build_main(argv: Optional[Sequence[str]] = None) -> int:
         n_clusters=args.clusters,
         bins=args.bins,
         ground_distance=args.ground_distance,
-        emd_backend=args.emd_backend,
         shard_retries=args.retries,
         shard_timeout=args.shard_timeout,
         on_poison_pair=args.on_poison_pair,
@@ -621,7 +610,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         n_clusters=args.clusters,
         bins=args.bins,
         ground_distance=args.ground_distance,
-        emd_backend=args.emd_backend,
         parallel_backend=args.parallel,
         n_workers=args.workers,
         n_shards=args.n_shards,

@@ -9,10 +9,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .._validation import check_positive_int
-from ..emd.batch import EMD_SOLVERS, PARALLEL_BACKENDS
 from ..emd.registry import (
+    ENGINE_SOLVERS,
+    PAIRWISE_SOLVERS,
+    PARALLEL_BACKENDS,
     POISON_POLICIES,
-    EMDSolverName,
+    EngineSolverName,
     ParallelBackendName,
     PoisonPolicyName,
 )
@@ -55,27 +57,26 @@ class DetectorConfig:
     ground_distance:
         Ground distance of the EMD (Section 3.2).
     emd_backend:
-        ``"auto"`` (default; ``"linprog_batch"`` is a second name for
-        it) — the exact stacked route: 1-D equal-mass pairs take the
-        closed form, every other pair is grouped by
-        ``(dimension, K_a, K_b)`` and solved in block-diagonal HiGHS
-        LPs, equal to the per-pair LP to within 1e-12 — or
-        ``"linprog"``/``"simplex"`` (exact, one solve per pair).  Every
-        backend computes the paper's partial-matching EMD.
+        ``"auto"`` (default), the band engine's one exact route: 1-D
+        equal-mass pairs take the closed form, every other pair is
+        grouped by ``(dimension, K_a, K_b)`` and solved in
+        block-diagonal HiGHS LPs, equal to the per-pair LP to within
+        1e-12.  ``"linprog_batch"`` is a second name for it and is
+        stored as ``"auto"``.  The per-pair solvers
+        ``"linprog"``/``"simplex"`` are rejected here; call
+        :func:`repro.emd.emd` with ``backend=`` for them.
     parallel_backend:
-        ``"serial"`` (default), ``"thread"`` or ``"process"``.  The EMD
-        engine's worker pool solves the independent stacked LP chunks
-        of ``"auto"``/``"linprog_batch"``, or the single pairs of
-        ``"linprog"``/``"simplex"``; the 1-D closed form always runs
-        in-process.  With ``n_shards`` set,
-        ``"process"`` runs the shards in worker processes instead.  The
-        offline ``detect()`` also runs its k-means refinement on the
+        ``"serial"`` (default) or ``"process"``.  The EMD engine's
+        worker-process pool solves the independent stacked LP chunks;
+        the 1-D closed form always runs in-process.  With ``n_shards``
+        set, ``"process"`` runs the shards in worker processes instead.
+        The offline ``detect()`` also runs its k-means refinement on the
         engine's pool; seeding stays serial, so signatures and the
         generator's state match a serial run.  k-medoids, LVQ and the
         online ``push`` stay per bag.
     n_workers:
-        Worker-pool size for ``"thread"``/``"process"`` (the band build
-        and the k-means refinement, and the sharded band build);
+        Worker-pool size for ``"process"`` (the band build, the k-means
+        refinement and the sharded band build);
         ``None`` uses the CPU count.
     n_shards:
         When set (> 1), the offline detector builds the EMD band
@@ -144,7 +145,7 @@ class DetectorConfig:
     bins: Union[int, Sequence[int]] = 10
     histogram_range: Optional[Sequence] = None
     ground_distance: str = "euclidean"
-    emd_backend: EMDSolverName = "auto"
+    emd_backend: EngineSolverName = "auto"
     parallel_backend: ParallelBackendName = "serial"
     n_workers: Optional[int] = None
     n_shards: Optional[int] = None
@@ -175,10 +176,18 @@ class DetectorConfig:
             raise ConfigurationError(
                 f"weighting must be one of {_WEIGHTING}, got {self.weighting!r}"
             )
-        if self.emd_backend not in EMD_SOLVERS:
-            raise ConfigurationError(
-                f"emd_backend must be one of {EMD_SOLVERS}, got {self.emd_backend!r}"
+        if self.emd_backend not in ENGINE_SOLVERS:
+            hint = (
+                "; per-pair solvers are called as repro.emd.emd(backend=...)"
+                if self.emd_backend in PAIRWISE_SOLVERS
+                else ""
             )
+            raise ConfigurationError(
+                f"emd_backend must be one of {ENGINE_SOLVERS}, "
+                f"got {self.emd_backend!r}{hint}"
+            )
+        # "linprog_batch" is a second name for the engine's one route.
+        self.emd_backend = "auto"
         try:
             if self.n_shards is not None:
                 check_positive_int(self.n_shards, "n_shards")

@@ -71,7 +71,6 @@ class BagChangePointDetector:
         self._rng = as_rng(config.random_state)
         self._engine = PairwiseEMDEngine(
             ground_distance=config.ground_distance,
-            backend=config.emd_backend,
             parallel_backend=config.parallel_backend,
             n_workers=config.n_workers,
         )
@@ -82,8 +81,8 @@ class BagChangePointDetector:
     def close(self) -> None:
         """Release the EMD engine's worker pool (idempotent).
 
-        Only needed when ``parallel_backend`` is ``"thread"``/``"process"``
-        — the engine keeps its pool alive across calls; a closed detector
+        Only needed when ``parallel_backend`` is ``"process"`` — the
+        engine keeps its pool alive across calls; a closed detector
         cannot ``detect`` again.
         """
         self._engine.close()
@@ -148,7 +147,7 @@ class BagChangePointDetector:
                 plan,
                 EngineSettings.from_config(cfg),
                 policy=RetryPolicy.from_config(cfg),
-                mode="process" if cfg.parallel_backend == "process" else "serial",
+                mode=cfg.parallel_backend,
                 n_workers=cfg.n_workers,
                 checkpoint_dir=cfg.shard_checkpoint_dir,
             )

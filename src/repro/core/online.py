@@ -144,7 +144,6 @@ class OnlineBagDetector:
         )
         self._engine = PairwiseEMDEngine(
             ground_distance=config.ground_distance,
-            backend=config.emd_backend,
             parallel_backend=config.parallel_backend,
             n_workers=config.n_workers,
         )
@@ -180,8 +179,8 @@ class OnlineBagDetector:
     def close(self) -> None:
         """Release the EMD engine's worker pool (idempotent).
 
-        Only needed when ``parallel_backend`` is ``"thread"``/``"process"``
-        — the engine keeps its pool alive across pushes.  A closed
+        Only needed when ``parallel_backend`` is ``"process"`` — the
+        engine keeps its pool alive across pushes.  A closed
         detector raises :class:`~repro.exceptions.DetectorClosedError`
         from :meth:`push`; its history and :meth:`state_dict` stay
         readable, so a supervised stream can still be snapshotted during

@@ -37,12 +37,10 @@ from .orchestrator import (
 from .sharding import (
     EngineSettings,
     ShardPlan,
-    ShardRunner,
     ShardSpec,
     load_shard_checkpoint,
     merge_shards,
     save_shard_checkpoint,
-    sharded_banded_matrix,
 )
 from .transportation import (
     TransportPlan,
@@ -58,12 +56,10 @@ __all__ = [
     "band_pair_indices",
     "EngineSettings",
     "ShardPlan",
-    "ShardRunner",
     "ShardSpec",
     "load_shard_checkpoint",
     "merge_shards",
     "save_shard_checkpoint",
-    "sharded_banded_matrix",
     "QUARANTINE_FILENAME",
     "InlineWorkerBackend",
     "ProcessWorkerBackend",

@@ -11,8 +11,7 @@ provides the two pieces the detectors build on instead:
   score computation and a dense export for Fig.-6-style plots;
 * :class:`PairwiseEMDEngine` — computes batches of signature pairs.
 
-The exact backend ``"auto"`` (default; ``"linprog_batch"`` is a second
-name for it) takes one of two routes per pair:
+The engine has one route, exact, taken pair by pair:
 
 * the closed-form 1-D integral, vectorised across every eligible pair
   (one-dimensional supports, equal masses, an Lp ground distance);
@@ -22,12 +21,12 @@ name for it) takes one of two routes per pair:
   :func:`~repro.emd.linprog_batch.solve_emd_linprog_batch`, over a
   ``(P, K_a, K_b)`` cost tensor built only when that chunk is solved.
 
-The per-pair backends ``"linprog"`` and ``"simplex"`` solve one LP per
-pair, with ground-distance matrices cached for pairs that share a
-support.  There is no entropic backend: every route computes the same
-partial-matching EMD exactly.  With
-``parallel_backend="thread"``/``"process"`` the stacked chunks (or the
-per-pair solves) run on a lazily created worker pool (use
+The per-pair solvers ``"linprog"`` and ``"simplex"`` live only in
+:func:`repro.emd.emd`, where tests use them as oracles (and the shard
+orchestrator's poison-pair rescue uses ``"linprog"``).  There is no
+entropic backend: every route computes the same partial-matching EMD
+exactly.  With ``parallel_backend="process"`` the stacked chunks run on
+a lazily created worker-process pool (use
 :meth:`~PairwiseEMDEngine.close` or a ``with`` block to release it).
 
 Every routing decision is pair-local, so a pair is solved by the same
@@ -65,18 +64,10 @@ import numpy as np
 from .._validation import check_positive_int
 from ..exceptions import ConfigurationError, ReproError, SolverError, ValidationError
 from ..signatures import Signature
-from .distance import _can_use_1d_fast_path, emd
+from .distance import _can_use_1d_fast_path
 from .ground_distance import GroundDistance, cross_distance_matrix
-from .linprog_backend import solve_emd_linprog
 from .linprog_batch import chunk_slices, solve_emd_linprog_batch
-from .registry import (
-    EMD_SOLVERS,
-    PAIRWISE_SOLVERS,
-    PARALLEL_BACKENDS,
-    EMDSolverName,
-    ParallelBackendName,
-)
-from .transportation import solve_unbalanced_transportation
+from .registry import EMD_SOLVERS, PARALLEL_BACKENDS, ParallelBackendName
 
 __all__ = [
     "EMD_SOLVERS",
@@ -366,63 +357,6 @@ def _batched_wasserstein_1d(pairs: Sequence[Tuple[Signature, Signature]]) -> np.
     return np.sum(np.abs(cdf_a - cdf_b) * deltas, axis=1)
 
 
-def _common_support(sig_a: Signature, sig_b: Signature) -> bool:
-    """Whether two signatures share the exact same positions array."""
-    pa, pb = sig_a.positions, sig_b.positions
-    return pa is pb or (pa.shape == pb.shape and np.array_equal(pa, pb))
-
-
-# Per-worker ground-distance cache for process pools: each worker builds
-# the shared common-support cost matrix once on first sight instead of
-# the parent shipping it (or the worker rebuilding it) per job.
-_WORKER_COST_CACHE_MAX = 64
-_worker_cost_cache: Dict[tuple, np.ndarray] = {}
-
-
-def _emd_pair(
-    args: Tuple[Signature, Signature, GroundDistance, str, Optional[np.ndarray], bool]
-) -> float:
-    """Top-level worker so process pools can pickle the call.
-
-    When a precomputed ground-distance matrix is supplied (pairs sharing a
-    common support), the transportation problem is solved directly on it,
-    skipping the per-pair cost-matrix build of :func:`repro.emd.emd`.
-    With ``use_worker_cache`` (process pools, where shipping the parent's
-    cache would cost per-job IPC) common-support matrices are instead
-    built once per worker process and reused across jobs.
-    """
-    sig_a, sig_b, ground_distance, backend, cost_matrix, use_worker_cache = args
-    if (
-        cost_matrix is None
-        and use_worker_cache
-        and isinstance(ground_distance, str)
-        and _common_support(sig_a, sig_b)
-    ):
-        positions = sig_a.positions
-        key = (ground_distance, positions.shape, positions.tobytes())
-        cost_matrix = _worker_cost_cache.get(key)
-        if cost_matrix is None:
-            cost_matrix = cross_distance_matrix(
-                positions, sig_b.positions, ground_distance
-            )
-            if len(_worker_cost_cache) >= _WORKER_COST_CACHE_MAX:
-                _worker_cost_cache.clear()
-            _worker_cost_cache[key] = cost_matrix
-    if cost_matrix is None:
-        return emd(sig_a, sig_b, ground_distance=ground_distance, backend=backend)
-    if backend == "simplex":
-        plan = solve_unbalanced_transportation(cost_matrix, sig_a.weights, sig_b.weights)
-    elif backend in ("auto", "linprog"):
-        plan = solve_emd_linprog(cost_matrix, sig_a.weights, sig_b.weights)
-    else:
-        raise ConfigurationError(
-            f"backend must be one of {PAIRWISE_SOLVERS}, got {backend!r}"
-        )
-    if plan.total_flow <= 0:
-        return 0.0
-    return float(plan.cost / plan.total_flow)
-
-
 def _translate_group_error(exc: SolverError, members: Sequence[int]) -> SolverError:
     """Batch-local failure indices -> :meth:`PairwiseEMDEngine.compute_pairs` positions.
 
@@ -473,24 +407,20 @@ def _solve_stacked_chunk(args: _StackedJob) -> np.ndarray:
 class PairwiseEMDEngine:
     """Computes EMD over batches of signature pairs.
 
+    Every pair takes the one exact route: the closed-form 1-D integral
+    where it applies, otherwise block-diagonal HiGHS LPs over pairs
+    grouped by ``(dimension, K_a, K_b)``.
+
     Parameters
     ----------
-    ground_distance, backend:
-        The ground distance and solver backend.  ``"auto"`` (default) —
-        also accepted as ``"linprog_batch"``, stored as ``"auto"`` — is
-        the exact stacked route: the closed-form
-        1-D integral where it applies, otherwise block-diagonal HiGHS LPs
-        over pairs grouped by ``(dimension, K_a, K_b)``.
-        ``"linprog"`` and ``"simplex"`` solve one exact problem per pair,
-        as :func:`repro.emd.emd` does.
+    ground_distance:
+        The ground distance between signature representatives.
     parallel_backend:
-        ``"serial"`` (default), ``"thread"`` or ``"process"``.  A pool
-        solves the independent chunks of the stacked LPs, or the single
-        pairs of the per-pair backends ``"linprog"`` and ``"simplex"``;
-        the 1-D fast path always runs in-process.
+        ``"serial"`` (default) or ``"process"``.  A process pool solves
+        the independent chunks of the stacked LPs; the 1-D fast path
+        always runs in-process.
     n_workers:
-        Pool size; defaults to the CPU count when a pool backend is
-        selected.
+        Pool size; defaults to the CPU count under ``"process"``.
 
     Attributes
     ----------
@@ -498,38 +428,27 @@ class PairwiseEMDEngine:
         Total number of pair distances computed so far (all paths).
     n_fast_path:
         How many of those went through the vectorised 1-D fast path.
-    n_cost_cache_hits:
-        How many per-pair solves reused a cached ground-distance matrix
-        (pairs whose signatures share a common support).
     n_linprog_batched:
         How many pair distances were solved by the stacked exact LP
         route.
 
     Notes
     -----
-    Worker pools are created lazily on the first batch with two or more
-    stacked chunks (or per-pair solves) and are *kept alive* across
-    calls, so streaming workloads pay the pool start-up cost once
-    instead of per batch.  Call
-    :meth:`close` (or use the engine as a context manager) to release the
-    pool; a closed engine raises
+    The worker pool is created lazily on the first batch with two or
+    more stacked chunks and is *kept alive* across calls, so streaming
+    workloads pay the pool start-up cost once instead of per batch.
+    Call :meth:`close` (or use the engine as a context manager) to
+    release the pool; a closed engine raises
     :class:`~repro.exceptions.ConfigurationError` on further use.
     """
-
-    _COST_CACHE_MAX = 64
 
     def __init__(
         self,
         *,
         ground_distance: GroundDistance = "euclidean",
-        backend: EMDSolverName = "auto",
         parallel_backend: ParallelBackendName = "serial",
         n_workers: Optional[int] = None,
     ) -> None:
-        if backend not in EMD_SOLVERS:
-            raise ConfigurationError(
-                f"backend must be one of {EMD_SOLVERS}, got {backend!r}"
-            )
         if parallel_backend not in PARALLEL_BACKENDS:
             raise ConfigurationError(
                 f"parallel_backend must be one of {PARALLEL_BACKENDS}, got {parallel_backend!r}"
@@ -537,20 +456,16 @@ class PairwiseEMDEngine:
         if n_workers is not None:
             n_workers = check_positive_int(n_workers, "n_workers")
         self.ground_distance = ground_distance
-        # "linprog_batch" names the same exact stacked route as "auto";
-        # the name stays accepted so configs and fingerprints keep it.
-        self.backend = "auto" if backend == "linprog_batch" else backend
         self.parallel_backend = parallel_backend
         self.n_workers = n_workers
         self.n_evaluations = 0
         self.n_fast_path = 0
-        self.n_cost_cache_hits = 0
+        self.n_cost_cache_hits = 0  # always 0: no cost cache; perfbench/tracing.py reads it
         self.n_sinkhorn_batched = 0  # always 0: no entropic route; perfbench/tracing.py reads it
         self.n_linprog_batched = 0
         self._pool = None
         self._pool_failed = False
         self._closed = False
-        self._cost_cache: dict = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -569,7 +484,6 @@ class PairwiseEMDEngine:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        self._cost_cache.clear()
         self._closed = True
 
     def __enter__(self) -> "PairwiseEMDEngine":
@@ -601,11 +515,10 @@ class PairwiseEMDEngine:
         workers = self.n_workers or os.cpu_count() or 1
         if workers <= 1:
             return None
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
-        pool_cls = ThreadPoolExecutor if self.parallel_backend == "thread" else ProcessPoolExecutor
         try:
-            self._pool = pool_cls(max_workers=workers)
+            self._pool = ProcessPoolExecutor(max_workers=workers)
         except (OSError, ValueError, RuntimeError, ImportError):
             # Pool creation can fail in restricted environments (no
             # /dev/shm, forbidden fork, ...); the serial path is always
@@ -615,56 +528,31 @@ class PairwiseEMDEngine:
         return self._pool
 
     # ------------------------------------------------------------------ #
-    # Ground-distance caching
-    # ------------------------------------------------------------------ #
-    def _cached_cost(self, sig_a: Signature, sig_b: Signature) -> Optional[np.ndarray]:
-        """Ground-distance matrix for common-support pairs, built once.
-
-        Histogram-signature batches share one positions grid across every
-        bag, so all their LP solves can run against a single cost matrix
-        instead of recomputing cdist per pair.
-        """
-        if not _common_support(sig_a, sig_b):
-            return None
-        positions = sig_a.positions
-        key = (positions.shape, positions.tobytes())
-        cost = self._cost_cache.get(key)
-        if cost is not None:
-            self.n_cost_cache_hits += 1
-            return cost
-        cost = cross_distance_matrix(positions, sig_b.positions, self.ground_distance)
-        if len(self._cost_cache) >= self._COST_CACHE_MAX:
-            self._cost_cache.clear()
-        self._cost_cache[key] = cost
-        return cost
-
-    # ------------------------------------------------------------------ #
     # Pair computation
     # ------------------------------------------------------------------ #
     def compute(self, sig_a: Signature, sig_b: Signature) -> float:
         """Distance for a single pair (counted in the evaluation stats)."""
         return float(self.compute_pairs([(sig_a, sig_b)])[0])
 
-    def _pool_for(self, n_jobs: int) -> Optional["Executor"]:
-        """The worker pool for a batch of ``n_jobs`` jobs, or ``None`` → serial."""
-        if self.parallel_backend == "serial" or n_jobs < 2:
-            return None
-        return self._acquire_pool()
+    def map(self, fn: Callable[[_Job], _Result], jobs: Sequence[_Job]) -> List[_Result]:
+        """``[fn(job) for job in jobs]``, on the worker pool when there is one.
 
-    def _run_jobs(
-        self,
-        fn: Callable[[_Job], _Result],
-        jobs: Sequence[_Job],
-        pool: Optional["Executor"],
-        chunksize: int,
-    ) -> List[_Result]:
-        """``[fn(job) for job in jobs]``, through ``pool`` when one is given."""
+        Runs the band's stacked LP chunks, and lets other stages of a run
+        (the offline detector's k-means refinement) share the same pool,
+        with its lazy start, broken-pool → serial fallback and
+        :meth:`close`.  Under ``parallel_backend="process"``, ``fn`` must
+        be a picklable module-level function.
+        """
+        self._check_open()
+        pool: Optional["Executor"] = None
+        if self.parallel_backend != "serial" and len(jobs) >= 2:
+            pool = self._acquire_pool()
         if pool is None:
             return [fn(job) for job in jobs]
         from concurrent.futures import BrokenExecutor
 
         try:
-            return list(pool.map(fn, jobs, chunksize=chunksize))
+            return list(pool.map(fn, jobs))
         except (OSError, BrokenExecutor, RuntimeError) as exc:
             # Library errors raised inside a job (SolverError and friends
             # subclass RuntimeError) are computation failures: propagate
@@ -672,9 +560,9 @@ class PairwiseEMDEngine:
             if isinstance(exc, ReproError):
                 raise
             # The pool itself broke — workers spawn lazily at submit, so
-            # "can't start new thread" lands here, not in _acquire_pool.
-            # Retire it, stop retrying, and fall back to serial for this
-            # and all later batches.
+            # a failed spawn lands here, not in _acquire_pool.  Retire it,
+            # stop retrying, and fall back to serial for this and all
+            # later batches.
             self._pool_failed = True
             try:
                 pool.shutdown(wait=False)
@@ -683,49 +571,12 @@ class PairwiseEMDEngine:
             self._pool = None
             return [fn(job) for job in jobs]
         except (pickle.PicklingError, AttributeError, TypeError):
-            if self.parallel_backend != "process":
-                # Thread pools never pickle, so these are computation
-                # errors; propagate them and leave the pool alive.
-                raise
             # Process pools cannot pickle callable ground distances (the
             # pickler raises exactly these types), but a worker computation
             # can raise them too; the pool is healthy either way, so run
             # this batch serially — a genuine computation error re-raises
             # there — and keep the pool for the next batch.
             return [fn(job) for job in jobs]
-
-    def map(self, fn: Callable[[_Job], _Result], jobs: Sequence[_Job]) -> List[_Result]:
-        """``[fn(job) for job in jobs]`` on the engine's worker pool.
-
-        Lets other stages of a run (the offline detector's k-means
-        refinement) share the pool the band build uses, with the same
-        lazy start, broken-pool → serial fallback and :meth:`close`.
-        Under ``parallel_backend="process"``, ``fn`` must be a picklable
-        module-level function.
-        """
-        self._check_open()
-        return self._run_jobs(fn, jobs, self._pool_for(len(jobs)), chunksize=1)
-
-    def _solve_general(self, pairs: List[Tuple[Signature, Signature]]) -> List[float]:
-        """One solve per pair for the per-pair backends, pooled when configured."""
-        pool = self._pool_for(len(pairs))
-        # A cached cost matrix would be pickled into every job of a process
-        # pool (per-pair IPC instead of a saving); share the cache whenever
-        # execution is actually in-process.  Process workers instead keep a
-        # per-worker cache, building each shared matrix once per worker.
-        use_cache = pool is None or self.parallel_backend != "process"
-        jobs = [
-            (
-                a,
-                b,
-                self.ground_distance,
-                self.backend,
-                self._cached_cost(a, b) if use_cache else None,
-                not use_cache,
-            )
-            for a, b in pairs
-        ]
-        return self._run_jobs(_emd_pair, jobs, pool, chunksize=8)
 
     def compute_pairs(self, pairs: Sequence[Tuple[Signature, Signature]]) -> np.ndarray:
         """Distances for a batch of pairs, in input order.
@@ -743,15 +594,12 @@ class PairwiseEMDEngine:
         out = np.empty(len(pairs), dtype=float)
         if not pairs:
             return out
-        if self.backend == "auto":
-            self._solve_stacked(pairs, self._solve_fast_path(pairs, out), out)
-        else:
-            out[:] = self._solve_general(pairs)
+        self._solve_stacked(pairs, self._solve_fast_path(pairs, out), out)
         self.n_evaluations += len(pairs)
         return out
 
     # ------------------------------------------------------------------ #
-    # The "auto" route: 1-D closed form and stacked shape-grouped LPs
+    # The route: 1-D closed form and stacked shape-grouped LPs
     # ------------------------------------------------------------------ #
     def _solve_fast_path(
         self, pairs: List[Tuple[Signature, Signature]], out: np.ndarray
@@ -782,7 +630,7 @@ class PairwiseEMDEngine:
         Each group is cut by :func:`~repro.emd.linprog_batch.chunk_slices`,
         and a chunk's ``(P, K_a, K_b)`` cost tensor is built only when that
         chunk is solved, so memory stays O(chunk).  Chunks are independent
-        LPs, so a configured thread/process pool solves them in parallel.
+        LPs, so a configured process pool solves them in parallel.
         ``indices`` are positions into ``pairs``/``out``; a failing chunk
         re-raises with those positions.
         """
@@ -795,8 +643,7 @@ class PairwiseEMDEngine:
             for piece in chunk_slices(len(members), size_a, size_b):
                 chunk = members[piece]
                 jobs.append((chunk, [pairs[p] for p in chunk], self.ground_distance))
-        pool = self._pool_for(len(jobs))
-        distances = self._run_jobs(_solve_stacked_chunk, jobs, pool, chunksize=1)
+        distances = self.map(_solve_stacked_chunk, jobs)
         for (chunk, _, _), values in zip(jobs, distances):
             out[chunk] = values
             self.n_linprog_batched += len(chunk)

@@ -80,7 +80,12 @@ from ..exceptions import (
 from ..signatures import Signature
 from .batch import BandedDistanceMatrix, PairwiseEMDEngine
 from .distance import emd
-from .registry import POISON_POLICIES, SHARD_MODES, PoisonPolicyName, ShardModeName
+from .registry import (
+    PARALLEL_BACKENDS,
+    POISON_POLICIES,
+    ParallelBackendName,
+    PoisonPolicyName,
+)
 from .sharding import (
     EngineSettings,
     ShardPlan,
@@ -521,9 +526,9 @@ class _ProcessHandle:
 class ProcessWorkerBackend:
     """One short-lived ``multiprocessing.Process`` per shard attempt.
 
-    Unlike the pool used by :class:`~repro.emd.sharding.ShardRunner`, a
-    dedicated process per attempt can be killed individually — the
-    primitive the timeout and straggler-cancellation paths need.  The
+    Unlike a worker in a process pool, a dedicated process per attempt
+    can be killed individually — the primitive the timeout and
+    straggler-cancellation paths need.  The
     signature arrays still live in shared memory (one placement for the
     whole build), so spawning an attempt ships only a few integers.
     """
@@ -695,20 +700,21 @@ class ShardOrchestrator:
         settings: Optional[EngineSettings] = None,
         *,
         policy: Optional[RetryPolicy] = None,
-        mode: ShardModeName = "process",
+        mode: ParallelBackendName = "process",
         n_workers: Optional[int] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         clock: Optional[Callable[[], float]] = None,
         sleep: Optional[Callable[[float], None]] = None,
         rng_seed: int = 0,
     ) -> None:
-        if mode not in SHARD_MODES:
-            raise ConfigurationError(f"mode must be one of {SHARD_MODES}, got {mode!r}")
+        if mode not in PARALLEL_BACKENDS:
+            raise ConfigurationError(
+                f"mode must be one of {PARALLEL_BACKENDS}, got {mode!r}"
+            )
         if n_workers is not None:
             n_workers = check_positive_int(n_workers, "n_workers")
         self.plan = plan
         self.settings = settings if settings is not None else EngineSettings()
-        self.settings.make_engine().close()  # validate the recipe eagerly
         self.policy = policy if policy is not None else RetryPolicy()
         self.mode = mode
         self.n_workers = n_workers
@@ -1152,7 +1158,7 @@ def orchestrated_banded_matrix(
     *,
     settings: Optional[EngineSettings] = None,
     policy: Optional[RetryPolicy] = None,
-    mode: ShardModeName = "process",
+    mode: ParallelBackendName = "process",
     n_workers: Optional[int] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
 ) -> BandedDistanceMatrix:

@@ -1,18 +1,17 @@
 """Single source of truth for solver and execution backend names.
 
 Every layer that accepts a backend string — :func:`repro.emd.emd`,
-:class:`~repro.emd.batch.PairwiseEMDEngine`,
-:class:`~repro.core.config.DetectorConfig`, the sharding runner and the
-CLI — validates against the tuples defined here, and the static layer
-leans on the matching :data:`typing.Literal` types so that an invalid
-backend string is a *type* error long before it can become a runtime
-:class:`~repro.exceptions.ConfigurationError`.
+:class:`~repro.core.config.DetectorConfig`, the shard orchestrator and
+the CLI — validates against the tuples defined here, and the static
+layer leans on the matching :data:`typing.Literal` types so that an
+invalid backend string is a *type* error long before it can become a
+runtime :class:`~repro.exceptions.ConfigurationError`.
 
 ``EMD_SOLVERS`` is the one permitted literal listing of solver names in
 the codebase (reprolint rule RL001 enforces that everything else
 references or derives from it); mypy checks each member against
 ``EMDSolverName``, and ``tests/test_reprolint.py`` asserts the tuple is
-*exhaustive* over the ``Literal`` and that the derived subsets partition
+*exhaustive* over the ``Literal`` and that the derived subsets cover
 it.
 """
 
@@ -20,30 +19,31 @@ from __future__ import annotations
 
 from typing import Final, Literal, Tuple, get_args
 
-#: Every solver backend understood by :class:`PairwiseEMDEngine`.
+#: Every solver name in the codebase.
 EMDSolverName = Literal["auto", "linprog", "linprog_batch", "simplex"]
 
 #: The exact per-pair solvers accepted by :func:`repro.emd.emd`.
 PairwiseSolverName = Literal["auto", "linprog", "simplex"]
 
-#: The multi-pair solver name: an alias of ``"auto"``'s stacked exact LPs.
-BatchedSolverName = Literal["linprog_batch"]
+#: The names ``DetectorConfig.emd_backend`` accepts: the band engine's
+#: one route (1-D closed form plus stacked exact LPs), where
+#: ``"linprog_batch"`` is a second name for ``"auto"``.
+EngineSolverName = Literal["auto", "linprog_batch"]
 
-#: How :class:`PairwiseEMDEngine` executes batches of pair solves.
-ParallelBackendName = Literal["serial", "thread", "process"]
-
-#: How :class:`repro.emd.sharding.ShardRunner` executes pending shards.
-ShardModeName = Literal["serial", "process"]
+#: How the band build and the k-means refinement execute: in-process or
+#: on worker processes (the engine pool, or the shard orchestrator's
+#: workers).
+ParallelBackendName = Literal["serial", "process"]
 
 #: How the orchestrated band build treats pairs that exhausted their
 #: poison-pair rescue budget: refuse the degraded band or warn and
 #: return it with the quarantined entries masked.
 PoisonPolicyName = Literal["strict", "degraded"]
 
-#: Solver backends understood by :class:`PairwiseEMDEngine`, all exact:
-#: the per-pair solvers and the block-diagonal batched LP (``"auto"``,
-#: also named ``"linprog_batch"``).  The canonical registry — compare and list
-#: backend names against this tuple, never re-list them.
+#: Every solver name, all exact: the per-pair solvers of
+#: :func:`repro.emd.emd` and the engine's stacked route (``"auto"``,
+#: also named ``"linprog_batch"``).  The canonical registry — compare
+#: and list backend names against this tuple, never re-list them.
 EMD_SOLVERS: Final[Tuple[EMDSolverName, ...]] = (
     "auto",
     "linprog",
@@ -54,14 +54,11 @@ EMD_SOLVERS: Final[Tuple[EMDSolverName, ...]] = (
 #: The per-pair exact subset of :data:`EMD_SOLVERS`.
 PAIRWISE_SOLVERS: Final[Tuple[PairwiseSolverName, ...]] = get_args(PairwiseSolverName)
 
-#: The multi-pair subset of :data:`EMD_SOLVERS`.
-BATCHED_SOLVERS: Final[Tuple[BatchedSolverName, ...]] = get_args(BatchedSolverName)
+#: The subset of :data:`EMD_SOLVERS` that names the band engine's route.
+ENGINE_SOLVERS: Final[Tuple[EngineSolverName, ...]] = get_args(EngineSolverName)
 
-#: Executor choices for the engine's pair batches.
+#: Execution choices of the band build (engine pool or shard workers).
 PARALLEL_BACKENDS: Final[Tuple[ParallelBackendName, ...]] = get_args(ParallelBackendName)
-
-#: Execution modes of the sharded band builder.
-SHARD_MODES: Final[Tuple[ShardModeName, ...]] = get_args(ShardModeName)
 
 #: Quarantine policies of the fault-tolerant shard orchestrator.
 POISON_POLICIES: Final[Tuple[PoisonPolicyName, ...]] = get_args(PoisonPolicyName)

@@ -3,10 +3,10 @@
 The detector needs every EMD inside a width-(τ + τ′) band of the bag
 sequence.  PRs 1–4 made each solve cheap; this module makes the *band
 build itself* divisible: the band's pair set is partitioned into
-contiguous row-blocks, each block is executed independently (in a local
-process pool, or on another machine entirely), progress is checkpointed
-per block, and the blocks are reassembled into a
-:class:`~repro.emd.batch.BandedDistanceMatrix` identical to the
+contiguous row-blocks, each block is executed independently (in-process
+or in a worker process), progress is checkpointed per block, and the
+blocks are reassembled into a
+:class:`~repro.emd.batch.BandedDistanceMatrix` equal to the
 single-process build.  Three pieces:
 
 * :class:`ShardPlan` — partitions the band into ``n_shards`` contiguous
@@ -16,22 +16,19 @@ single-process build.  Three pieces:
   ``bandwidth − 1`` rows past ``i``, the shard additionally needs a
   *halo* of up to ``bandwidth − 1`` signature rows beyond its range
   (read-only — halo pairs are owned by the next shard).
-* :class:`ShardRunner` — executes a plan's shards through any
-  :class:`~repro.emd.batch.PairwiseEMDEngine` backend.  In
-  ``mode="process"`` the signature arrays are placed in
-  :mod:`multiprocessing.shared_memory` *once* and each worker attaches
-  to them at start-up, so jobs carry only a shard id instead of pickled
-  signatures, and each shard's solves run on truly parallel processes
-  instead of GIL-bound threads.  With a
-  ``checkpoint_dir``, every finished shard is written as an ``.npz``
-  stamped with the plan hash and an engine-config fingerprint;
-  re-running after a crash recomputes only the missing shards and
-  refuses (:class:`~repro.exceptions.CheckpointError`) to merge
-  checkpoints produced under a different plan or solver configuration.
+* shard checkpoints — :func:`save_shard_checkpoint` writes one
+  finished shard as an ``.npz`` stamped with the plan hash and an
+  engine-config fingerprint; :func:`load_shard_checkpoint` refuses
+  (:class:`~repro.exceptions.CheckpointError`) a file produced under a
+  different plan or solver configuration.
 * :func:`merge_shards` — reassembles per-shard value vectors into the
-  banded matrix.  Every backend routes each pair independently of how
+  banded matrix.  The engine routes each pair independently of how
   pairs are batched, so the merged band equals the single-process build
   up to last-ulp rounding in the stacked LP solves (tested at 1e-12).
+
+:class:`~repro.emd.orchestrator.ShardOrchestrator` drives a plan through
+these pieces; the shared-memory signature store and the per-shard solve
+below are its building blocks.
 """
 
 from __future__ import annotations
@@ -39,21 +36,15 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-import warnings
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .._validation import check_positive_int
-from ..exceptions import (
-    CheckpointError,
-    ConfigurationError,
-    SolverError,
-    ValidationError,
-)
+from ..exceptions import CheckpointError, SolverError, ValidationError
 from ..signatures import Signature
 from .batch import (
     BandedDistanceMatrix,
@@ -62,7 +53,6 @@ from .batch import (
     band_pair_indices,
 )
 from .ground_distance import GroundDistance
-from .registry import EMD_SOLVERS, SHARD_MODES, EMDSolverName, ShardModeName
 
 #: Version stamp written into every shard checkpoint; bump on layout
 #: changes so old files are rejected instead of misread.  v2 added the
@@ -70,8 +60,9 @@ from .registry import EMD_SOLVERS, SHARD_MODES, EMDSolverName, ShardModeName
 #: on-disk corruption — truncation survives the zip CRC only in theory,
 #: bit flips inside a stored-uncompressed member do not — is detected
 #: before a corrupt shard can reach :func:`merge_shards`; v3 dropped the
-#: entropic solver's settings from the :class:`EngineSettings` fingerprint.
-CHECKPOINT_FORMAT_VERSION = 3
+#: entropic solver's settings from the :class:`EngineSettings` fingerprint;
+#: v4 dropped the solver name, now that the engine has one route.
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 def _values_checksum(values: np.ndarray) -> str:
@@ -92,29 +83,21 @@ class EngineSettings:
     hashed into the checkpoint fingerprint.  Parallelism knobs are
     deliberately absent: inside a shard the engine always runs serially
     (the sharding layer owns the parallelism), and they do not change
-    any distance.
+    any distance.  The engine has one route, so the ground distance is
+    the only solver knob.
     """
 
     ground_distance: GroundDistance = "euclidean"
-    backend: EMDSolverName = "auto"
-
-    def __post_init__(self) -> None:
-        if self.backend not in EMD_SOLVERS:
-            raise ConfigurationError(
-                f"backend must be one of {EMD_SOLVERS}, got {self.backend!r}"
-            )
 
     @classmethod
     def from_config(cls, config) -> "EngineSettings":
         """Extract the engine recipe from a ``DetectorConfig``-like object."""
-        return cls(ground_distance=config.ground_distance, backend=config.emd_backend)
+        return cls(ground_distance=config.ground_distance)
 
     def make_engine(self) -> PairwiseEMDEngine:
-        """A serial engine with these solver settings (validates them)."""
+        """A serial engine with these solver settings."""
         return PairwiseEMDEngine(
-            ground_distance=self.ground_distance,
-            backend=self.backend,
-            parallel_backend="serial",
+            ground_distance=self.ground_distance, parallel_backend="serial"
         )
 
     def fingerprint(self) -> str:
@@ -131,7 +114,6 @@ class EngineSettings:
             (
                 f"v{CHECKPOINT_FORMAT_VERSION}",
                 f"ground_distance={gd}",
-                f"backend={self.backend}",
             )
         )
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -499,42 +481,6 @@ class _SharedSignatureStore:
         self._blocks = []
 
 
-# Per-worker state, populated once by the pool initializer: attached
-# shared-memory blocks, reconstructed array views, and a lazily created
-# serial engine reused across all shards the worker executes.
-_worker_state: dict = {}
-
-
-def _shard_worker_init(meta: dict, settings: EngineSettings, n: int, bandwidth: int) -> None:
-    from multiprocessing import shared_memory
-
-    arrays = {}
-    blocks = []
-    try:
-        for name, (shm_name, shape, dtype) in meta.items():
-            block = shared_memory.SharedMemory(name=shm_name)
-            blocks.append(block)
-            arrays[name] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=block.buf)
-    except BaseException:
-        # Detach any blocks this worker already mapped; the parent-side
-        # store still owns the segments and will unlink them.
-        for block in blocks:
-            try:
-                block.close()
-            except OSError:  # pragma: no cover - already detached
-                pass
-        raise
-    _worker_state.clear()
-    _worker_state.update(
-        arrays=arrays,
-        blocks=blocks,  # keep references so the buffers stay mapped
-        settings=settings,
-        n=n,
-        bandwidth=bandwidth,
-        engine=None,
-    )
-
-
 def _signatures_from_arrays(
     arrays: Mapping[str, np.ndarray], row_start: int, row_stop: int
 ) -> Dict[int, Signature]:
@@ -577,221 +523,3 @@ def _compute_shard_values(
             shard_id=shard_id,
             shard_rows=(spec.row_start, spec.row_stop),
         ) from exc
-
-
-def _shard_worker_run(task: Tuple[int, tuple]) -> Tuple[int, np.ndarray]:
-    shard_id, row_bounds = task
-    state = _worker_state
-    plan = ShardPlan(state["n"], state["bandwidth"], row_bounds)
-    spec = plan.shard(shard_id)
-    signatures = _signatures_from_arrays(
-        state["arrays"], spec.row_start, spec.halo_stop
-    )
-    if state["engine"] is None:
-        state["engine"] = state["settings"].make_engine()
-    return shard_id, _compute_shard_values(state["engine"], signatures, plan, shard_id)
-
-
-# ---------------------------------------------------------------------- #
-# The runner
-# ---------------------------------------------------------------------- #
-class ShardRunner:
-    """Executes a :class:`ShardPlan` and merges the result.
-
-    Parameters
-    ----------
-    plan:
-        The shard plan (fixes n, bandwidth and the row boundaries).
-    settings:
-        The :class:`EngineSettings` every shard solves under; defaults
-        to the engine defaults.
-    mode:
-        ``"process"`` (default) executes pending shards on a process
-        pool with the signatures in shared memory; ``"serial"`` runs
-        them sequentially in-process (still checkpointable — useful for
-        resumable single-machine builds and for tests).  Process mode
-        falls back to serial, with a warning, when pools or shared
-        memory are unavailable, and runs serially anyway when only one
-        shard is pending or one worker is available.
-    n_workers:
-        Process-pool size; defaults to the CPU count.
-    checkpoint_dir:
-        When set, finished shards are written here as ``shard_*.npz``
-        and :meth:`run` resumes by loading every valid checkpoint
-        instead of recomputing it.
-
-    Attributes
-    ----------
-    n_shards_computed, n_shards_resumed:
-        After :meth:`run`: how many shards were solved this call vs
-        loaded from checkpoints.
-    """
-
-    def __init__(
-        self,
-        plan: ShardPlan,
-        settings: Optional[EngineSettings] = None,
-        *,
-        mode: ShardModeName = "process",
-        n_workers: Optional[int] = None,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-    ) -> None:
-        if mode not in SHARD_MODES:
-            raise ConfigurationError(f"mode must be one of {SHARD_MODES}, got {mode!r}")
-        if n_workers is not None:
-            n_workers = check_positive_int(n_workers, "n_workers")
-        self.plan = plan
-        self.settings = settings if settings is not None else EngineSettings()
-        self.settings.make_engine().close()  # validate the recipe eagerly
-        self.mode = mode
-        self.n_workers = n_workers
-        self.checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
-        self.n_shards_computed = 0
-        self.n_shards_resumed = 0
-
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
-    def run(self, signatures: Sequence[Signature]) -> BandedDistanceMatrix:
-        """Compute (or resume) every shard and merge the band."""
-        self._check_signatures(signatures)
-        self.n_shards_computed = 0
-        self.n_shards_resumed = 0
-        fingerprint = self.settings.fingerprint()
-        values: Dict[int, np.ndarray] = {}
-        pending: List[int] = []
-        for spec in self.plan.shards:
-            loaded = None
-            if self.checkpoint_dir is not None:
-                loaded = load_shard_checkpoint(
-                    self.checkpoint_dir, self.plan, spec.shard_id, fingerprint
-                )
-            if loaded is None:
-                pending.append(spec.shard_id)
-            else:
-                values[spec.shard_id] = loaded
-                self.n_shards_resumed += 1
-        if pending:
-            values.update(self._execute(signatures, pending, fingerprint))
-            self.n_shards_computed += len(pending)
-        return merge_shards(self.plan, values)
-
-    def run_shard(self, signatures: Sequence[Signature], shard_id: int) -> np.ndarray:
-        """Compute one shard in-process (checkpointing it when configured).
-
-        The building block for external drivers that spread shards over
-        several machines: each machine runs its shard ids against the
-        same plan/settings and ships the checkpoint files to one place
-        for the final :meth:`run` (which then merely loads and merges).
-        """
-        self._check_signatures(signatures)
-        fingerprint = self.settings.fingerprint()
-        return self._execute_serial(signatures, [shard_id], fingerprint)[shard_id]
-
-    # ------------------------------------------------------------------ #
-    # Execution backends
-    # ------------------------------------------------------------------ #
-    def _check_signatures(self, signatures: Sequence[Signature]) -> None:
-        if len(signatures) != self.plan.n:
-            raise ValidationError(
-                f"plan covers {self.plan.n} signatures, got {len(signatures)}"
-            )
-
-    def _effective_workers(self) -> int:
-        return self.n_workers or os.cpu_count() or 1
-
-    def _checkpoint(self, shard_id: int, values: np.ndarray, fingerprint: str) -> None:
-        """Persist one finished shard immediately (kill-resume depends on it)."""
-        if self.checkpoint_dir is not None:
-            save_shard_checkpoint(
-                self.checkpoint_dir, self.plan, shard_id, values, fingerprint
-            )
-
-    def _execute(
-        self, signatures: Sequence[Signature], shard_ids: List[int], fingerprint: str
-    ) -> Dict[int, np.ndarray]:
-        workers = min(self._effective_workers(), len(shard_ids))
-        if self.mode == "serial" or workers <= 1:
-            return self._execute_serial(signatures, shard_ids, fingerprint)
-        try:
-            return self._execute_process(signatures, shard_ids, workers, fingerprint)
-        except (OSError, ValueError, ImportError, RuntimeError) as exc:
-            if isinstance(exc, (SolverError, CheckpointError)):
-                raise
-            # No /dev/shm, forbidden fork, broken pool, ...: the serial
-            # path computes the identical result, so degrade gracefully.
-            warnings.warn(
-                f"process-mode shard execution unavailable ({exc}); "
-                "falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return self._execute_serial(signatures, shard_ids, fingerprint)
-
-    def _execute_serial(
-        self, signatures: Sequence[Signature], shard_ids: List[int], fingerprint: str
-    ) -> Dict[int, np.ndarray]:
-        by_row = dict(enumerate(signatures))
-        results: Dict[int, np.ndarray] = {}
-        with self.settings.make_engine() as engine:
-            for shard_id in shard_ids:
-                shard_values = _compute_shard_values(engine, by_row, self.plan, shard_id)
-                # Checkpoint each shard as it finishes, not at the end of
-                # the run: a kill (or a solver failure in a later shard)
-                # must not discard the shards already solved.
-                self._checkpoint(shard_id, shard_values, fingerprint)
-                results[shard_id] = shard_values
-        return results
-
-    def _execute_process(
-        self,
-        signatures: Sequence[Signature],
-        shard_ids: List[int],
-        workers: int,
-        fingerprint: str,
-    ) -> Dict[int, np.ndarray]:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        store = _SharedSignatureStore(signatures)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_shard_worker_init,
-                initargs=(store.meta, self.settings, self.plan.n, self.plan.bandwidth),
-            ) as pool:
-                futures = [
-                    pool.submit(_shard_worker_run, (shard_id, self.plan.row_bounds))
-                    for shard_id in shard_ids
-                ]
-                results: Dict[int, np.ndarray] = {}
-                # Checkpoint in completion order so finished shards are
-                # durable even if a later one fails or the run is killed.
-                for future in as_completed(futures):
-                    shard_id, shard_values = future.result()
-                    self._checkpoint(shard_id, shard_values, fingerprint)
-                    results[shard_id] = shard_values
-                return results
-        finally:
-            store.close()
-
-
-def sharded_banded_matrix(
-    signatures: Sequence[Signature],
-    bandwidth: int,
-    n_shards: int,
-    *,
-    settings: Optional[EngineSettings] = None,
-    mode: ShardModeName = "process",
-    n_workers: Optional[int] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-) -> BandedDistanceMatrix:
-    """Convenience wrapper: plan, run and merge in one call."""
-    plan = ShardPlan.build(len(signatures), bandwidth, n_shards)
-    runner = ShardRunner(
-        plan,
-        settings,
-        mode=mode,
-        n_workers=n_workers,
-        checkpoint_dir=checkpoint_dir,
-    )
-    return runner.run(signatures)

@@ -44,7 +44,7 @@ class SolverError(ReproError, RuntimeError):
         by the engine.  ``None`` for single-pair failures.
     shard_id:
         When the failure happened inside a sharded band build
-        (:class:`repro.emd.sharding.ShardRunner`), the id of the shard
+        (:class:`repro.emd.orchestrator.ShardOrchestrator`), the id of the shard
         whose solve failed; ``pair_indices`` are then positions into
         that shard's pair ordering (see
         :meth:`repro.emd.sharding.ShardPlan.pair_indices`).  ``None``

@@ -46,8 +46,9 @@ from ..signatures import Signature
 #: Version stamp written into every stream snapshot; bumped on layout
 #: changes so an old file is rejected with a clear message instead of
 #: being misread into a silently wrong stream state.  v2 dropped the
-#: entropic solver's settings from :func:`config_fingerprint`.
-SNAPSHOT_FORMAT_VERSION = 2
+#: entropic solver's settings from :func:`config_fingerprint`; v3
+#: dropped ``emd_backend``, which has one meaning now.
+SNAPSHOT_FORMAT_VERSION = 3
 
 #: Version stamp of the quarantine manifest JSON layout.
 QUARANTINE_MANIFEST_VERSION = 1
@@ -125,7 +126,6 @@ def config_fingerprint(config: DetectorConfig) -> str:
             f"bins={config.bins!r}",
             f"histogram_range={None if config.histogram_range is None else [tuple(map(float, r)) for r in np.atleast_2d(np.asarray(config.histogram_range, dtype=float))]!r}",
             f"ground_distance={gd}",
-            f"emd_backend={config.emd_backend}",
             f"lr_inspection_index={config.lr_inspection_index}",
             f"weighting={config.weighting}",
             f"n_bootstrap={config.n_bootstrap}",

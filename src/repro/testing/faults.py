@@ -162,8 +162,8 @@ def inject_worker_crash(
     """Kill the worker once the cumulative pair count crosses ``at_pair``.
 
     ``hard=False`` raises :class:`~repro.emd.orchestrator.WorkerCrash`
-    (the inline backend's crash protocol; propagates out of a plain
-    :class:`~repro.emd.sharding.ShardRunner` like a real death mid-run);
+    (the inline backend's crash protocol, which the orchestrator treats
+    like a real death mid-run);
     ``hard=True`` calls ``os._exit`` — only meaningful inside a real
     worker process, where the parent observes a dead worker with no
     result.  ``sentinel`` names a file used to count firings across

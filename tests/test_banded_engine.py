@@ -24,7 +24,7 @@ from repro.emd import (
     emd_matrix,
 )
 from repro.emd.one_dimensional import wasserstein_1d
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import ConfigurationError, SolverError, ValidationError
 from repro.signatures import Signature
 
 detector_variants = [
@@ -33,6 +33,15 @@ detector_variants = [
     {"score": "lr", "weighting": "uniform"},
     {"score": "lr", "weighting": "discounted"},
 ]
+
+
+def _square(x):
+    """Module-level pool job: process pools pickle it by name."""
+    return x * x
+
+
+def _fail_solver(x):
+    raise SolverError(f"LP failed on job {x}")
 
 
 def make_signatures(rng, n=12, size=8, dim=2, offset_after=None):
@@ -151,55 +160,57 @@ class TestPairwiseEMDEngine:
         assert np.allclose(values, expected, atol=1e-10)
         assert engine.n_fast_path == len(pairs)
 
-    def test_fast_path_disabled_for_explicit_backend(self, rng):
+    def test_process_backend_matches_serial(self, rng):
+        # Mixed support sizes give several stacked chunks, so the band
+        # really reaches the pool.
         sigs = [
-            Signature(rng.normal(size=(5, 1)), np.ones(5)) for _ in range(3)
+            Signature(rng.normal(size=(k, 2)), np.ones(k), label=i)
+            for i, k in enumerate([3, 4, 5, 3, 4, 5, 3, 4])
         ]
-        engine = PairwiseEMDEngine(backend="linprog")
-        engine.compute_pairs([(sigs[0], sigs[1]), (sigs[1], sigs[2])])
-        assert engine.n_fast_path == 0
-
-    @pytest.mark.parametrize("parallel_backend", ["thread", "process"])
-    def test_parallel_backends_match_serial(self, rng, parallel_backend):
-        # The pool serves only the per-pair backends.
-        sigs = make_signatures(rng, n=8)
-        serial = PairwiseEMDEngine(backend="linprog").banded_matrix(sigs, 4)
-        with PairwiseEMDEngine(
-            backend="linprog", parallel_backend=parallel_backend, n_workers=2
-        ) as engine:
+        serial = PairwiseEMDEngine().banded_matrix(sigs, 4)
+        with PairwiseEMDEngine(parallel_backend="process", n_workers=2) as engine:
             parallel = engine.banded_matrix(sigs, 4)
+            assert engine._pool is not None
         assert np.allclose(serial.to_dense(), parallel.to_dense(), atol=1e-10)
 
-    def test_invalid_parallel_backend_rejected(self):
+    @pytest.mark.parametrize("parallel_backend", ["gpu", "thread"])
+    def test_invalid_parallel_backend_rejected(self, parallel_backend):
         with pytest.raises(ConfigurationError):
-            PairwiseEMDEngine(parallel_backend="gpu")
+            PairwiseEMDEngine(parallel_backend=parallel_backend)
+
+    @pytest.mark.parametrize("backend", ["auto", "linprog", "Simplex"])
+    def test_backend_is_not_an_engine_parameter(self, backend):
+        # The engine has one route; per-pair solvers are emd(backend=...).
+        with pytest.raises(TypeError):
+            PairwiseEMDEngine(backend=backend)
 
     def test_empty_pair_batch(self):
         assert PairwiseEMDEngine().compute_pairs([]).size == 0
 
 
 class TestEngineLifecycle:
-    def test_pool_persists_across_batches(self, rng):
-        sigs = make_signatures(rng, n=6)
-        pairs = [(sigs[i], sigs[i + 1]) for i in range(5)]
-        engine = PairwiseEMDEngine(backend="linprog", parallel_backend="thread", n_workers=2)
-        engine.compute_pairs(pairs)
+    def test_pool_persists_across_batches(self):
+        engine = PairwiseEMDEngine(parallel_backend="process", n_workers=2)
+        assert engine.map(_square, [1, 2, 3]) == [1, 4, 9]
         first_pool = engine._pool
         assert first_pool is not None
-        engine.compute_pairs(pairs)
+        assert engine.map(_square, [4, 5]) == [16, 25]
         assert engine._pool is first_pool
         engine.close()
 
     def test_close_shuts_down_pool_and_blocks_reuse(self, rng):
         sigs = make_signatures(rng, n=4)
-        engine = PairwiseEMDEngine(backend="linprog", parallel_backend="thread", n_workers=2)
-        engine.compute_pairs([(sigs[0], sigs[1]), (sigs[1], sigs[2])])
+        engine = PairwiseEMDEngine(parallel_backend="process", n_workers=2)
+        engine.map(_square, [1, 2])
+        assert engine._pool is not None
         engine.close()
-        assert engine.closed
+        assert engine.closed and engine._pool is None
         with pytest.raises(ConfigurationError):
             engine.compute_pairs([(sigs[0], sigs[1])])
         with pytest.raises(ConfigurationError):
             engine.compute(sigs[0], sigs[1])
+        with pytest.raises(ConfigurationError):
+            engine.map(_square, [1, 2])
         engine.close()  # idempotent
 
     def test_serial_engine_close_blocks_reuse(self, rng):
@@ -211,10 +222,10 @@ class TestEngineLifecycle:
 
     def test_context_manager_closes_on_exit(self, rng):
         sigs = make_signatures(rng, n=4)
-        with PairwiseEMDEngine(backend="linprog", parallel_backend="thread", n_workers=2) as engine:
-            values = engine.compute_pairs([(sigs[0], sigs[1]), (sigs[2], sigs[3])])
-            assert values.shape == (2,)
-        assert engine.closed
+        with PairwiseEMDEngine(parallel_backend="process", n_workers=2) as engine:
+            assert engine.map(_square, [2, 3]) == [4, 9]
+            assert engine._pool is not None
+        assert engine.closed and engine._pool is None
         with pytest.raises(ConfigurationError):
             engine.compute_pairs([(sigs[0], sigs[1])])
 
@@ -224,56 +235,50 @@ class TestEngineLifecycle:
         with pytest.raises(ConfigurationError):
             engine.__enter__()
 
-    def test_computation_errors_propagate_and_leave_pool_alive(self, rng, monkeypatch):
-        from repro.emd import batch as batch_mod
-        from repro.exceptions import SolverError
-
-        sigs = make_signatures(rng, n=4)
-        pairs = [(sigs[0], sigs[1]), (sigs[1], sigs[2])]
-        engine = PairwiseEMDEngine(backend="linprog", parallel_backend="thread", n_workers=2)
-        engine.compute_pairs(pairs)
+    def test_computation_errors_propagate_and_leave_pool_alive(self):
+        engine = PairwiseEMDEngine(parallel_backend="process", n_workers=2)
+        engine.map(_square, [1, 2])
         pool = engine._pool
-
-        def failing_pair(args):
-            raise SolverError("LP failed")
-
-        monkeypatch.setattr(batch_mod, "_emd_pair", failing_pair)
-        with pytest.raises(SolverError):
-            engine.compute_pairs(pairs)
+        with pytest.raises(SolverError, match="LP failed"):
+            engine.map(_fail_solver, [1, 2])
         # A solver failure is not a pool failure: parallelism stays on.
         assert engine._pool is pool
         assert not engine._pool_failed
-
-        def type_error_pair(args):
-            raise TypeError("bad callable ground distance")
-
-        monkeypatch.setattr(batch_mod, "_emd_pair", type_error_pair)
-        # Thread pools never pickle, so a TypeError is a computation error
-        # there too and must not retire the pool.
-        with pytest.raises(TypeError):
-            engine.compute_pairs(pairs)
-        assert engine._pool is pool
-        assert not engine._pool_failed
-        monkeypatch.undo()
-        assert engine.compute_pairs(pairs).shape == (2,)
+        assert engine.map(_square, [3, 4]) == [9, 16]
         engine.close()
 
-    def test_thread_spawn_failure_falls_back_to_serial(self, rng, monkeypatch):
-        sigs = make_signatures(rng, n=4)
-        pairs = [(sigs[0], sigs[1]), (sigs[1], sigs[2])]
-        engine = PairwiseEMDEngine(backend="linprog", parallel_backend="thread", n_workers=2)
-        engine.compute_pairs(pairs)  # create the pool
-        # Executors spawn workers lazily at submit; emulate a thread-capped
-        # environment where map itself fails.
+    def test_unpicklable_jobs_run_serially_and_keep_the_pool(self, rng):
+        # A process pool cannot pickle a lambda ground distance; that batch
+        # runs in-process and the pool stays up for picklable work.
+        from repro.emd import cross_distance_matrix
+
+        sigs = [
+            Signature(rng.normal(size=(k, 2)), np.ones(k), label=i)
+            for i, k in enumerate([3, 4, 5, 3, 4, 5])
+        ]
+        reference = PairwiseEMDEngine(ground_distance="cityblock").banded_matrix(sigs, 3)
+        lambda_distance = lambda a, b: cross_distance_matrix(a, b, "cityblock")
+        with PairwiseEMDEngine(
+            ground_distance=lambda_distance, parallel_backend="process", n_workers=2
+        ) as engine:
+            band = engine.banded_matrix(sigs, 3)
+            assert engine._pool is not None and not engine._pool_failed
+            assert engine.map(_square, [2, 3]) == [4, 9]
+        np.testing.assert_allclose(band.band, reference.band, rtol=0, atol=1e-12)
+
+    def test_broken_map_falls_back_to_serial(self, monkeypatch):
+        engine = PairwiseEMDEngine(parallel_backend="process", n_workers=2)
+        engine.map(_square, [1, 2])  # create the pool
+        # Executors spawn workers lazily at submit; emulate an environment
+        # where map itself fails.
         def failing_map(*args, **kwargs):
-            raise RuntimeError("can't start new thread")
+            raise RuntimeError("can't start a new worker process")
 
         monkeypatch.setattr(engine._pool, "map", failing_map)
-        values = engine.compute_pairs(pairs)
-        assert values.shape == (2,)
+        assert engine.map(_square, [1, 2]) == [1, 4]
         assert engine._pool_failed and engine._pool is None
         # Later batches keep working serially.
-        assert engine.compute_pairs(pairs).shape == (2,)
+        assert engine.map(_square, [3]) == [9]
         engine.close()
 
     def test_detectors_close_their_engine(self, rng):
@@ -328,103 +333,6 @@ class TestEngineLifecycle:
             assert a.time == b.time
             assert a.score == b.score
             assert a.interval.lower == b.interval.lower
-
-
-class TestGroundDistanceCache:
-    def make_common_support_signatures(self, rng, n=6, k=5, dim=2):
-        support = rng.normal(size=(k, dim))
-        return [
-            Signature(support, rng.uniform(0.5, 2.0, size=k), label=i) for i in range(n)
-        ]
-
-    def test_common_support_pairs_hit_cache(self, rng):
-        sigs = self.make_common_support_signatures(rng)
-        pairs = [(sigs[i], sigs[j]) for i in range(6) for j in range(i + 1, 6)]
-        engine = PairwiseEMDEngine(backend="linprog")
-        values = engine.compute_pairs(pairs)
-        # One build for the shared support, every other pair reuses it.
-        assert engine.n_cost_cache_hits == len(pairs) - 1
-        expected = [emd(a, b) for a, b in pairs]
-        assert np.allclose(values, expected, atol=1e-12)
-
-    def test_distinct_supports_do_not_hit_cache(self, rng):
-        sigs = make_signatures(rng, n=5)  # independent supports per bag
-        engine = PairwiseEMDEngine(backend="linprog")
-        engine.compute_pairs([(sigs[i], sigs[i + 1]) for i in range(4)])
-        assert engine.n_cost_cache_hits == 0
-
-    def test_cache_engages_for_in_process_process_backend(self, rng):
-        # parallel_backend="process" with one worker never spawns a pool,
-        # so execution is in-process and the cache should still be shared.
-        sigs = self.make_common_support_signatures(rng, n=4)
-        engine = PairwiseEMDEngine(backend="linprog", parallel_backend="process", n_workers=1)
-        pairs = [(sigs[i], sigs[j]) for i in range(4) for j in range(i + 1, 4)]
-        values = engine.compute_pairs(pairs)
-        assert engine.n_cost_cache_hits == len(pairs) - 1
-        assert np.allclose(values, [emd(a, b) for a, b in pairs], atol=1e-12)
-        engine.close()
-
-    def test_process_pool_worker_cache_matches_serial(self, rng):
-        # Process jobs ship no cost matrix; each worker builds the shared
-        # common-support matrix once (module-level per-worker cache) and
-        # must produce the same distances as the serial cached path.
-        sigs = self.make_common_support_signatures(rng, n=6)
-        pairs = [(sigs[i], sigs[j]) for i in range(6) for j in range(i + 1, 6)]
-        serial = PairwiseEMDEngine(backend="linprog").compute_pairs(pairs)
-        with PairwiseEMDEngine(backend="linprog", parallel_backend="process", n_workers=2) as engine:
-            parallel = engine.compute_pairs(pairs)
-        assert np.allclose(serial, parallel, atol=1e-10)
-
-    def test_worker_cache_builds_cost_once_in_process(self, rng):
-        # Exercise the worker-side branch of _emd_pair directly (it runs
-        # in this process, so the module-level cache is observable).
-        from repro.emd import batch as batch_mod
-
-        sigs = self.make_common_support_signatures(rng, n=3)
-        batch_mod._worker_cost_cache.clear()
-        jobs = [
-            (a, b, "euclidean", "linprog", None, True)
-            for a, b in [(sigs[0], sigs[1]), (sigs[1], sigs[2])]
-        ]
-        values = [batch_mod._emd_pair(job) for job in jobs]
-        assert len(batch_mod._worker_cost_cache) == 1
-        expected = [emd(sigs[0], sigs[1]), emd(sigs[1], sigs[2])]
-        assert np.allclose(values, expected, atol=1e-12)
-        batch_mod._worker_cost_cache.clear()
-
-    def test_cache_persists_across_batches(self, rng):
-        sigs = self.make_common_support_signatures(rng, n=4)
-        engine = PairwiseEMDEngine(backend="linprog")
-        engine.compute_pairs([(sigs[0], sigs[1])])
-        assert engine.n_cost_cache_hits == 0
-        engine.compute_pairs([(sigs[2], sigs[3])])
-        assert engine.n_cost_cache_hits == 1
-
-    def test_cache_with_simplex_backend_matches(self, rng):
-        sigs = self.make_common_support_signatures(rng, n=3)
-        engine = PairwiseEMDEngine(backend="simplex")
-        values = engine.compute_pairs([(sigs[0], sigs[1]), (sigs[1], sigs[2])])
-        expected = [emd(a, b, backend="simplex") for a, b in
-                    [(sigs[0], sigs[1]), (sigs[1], sigs[2])]]
-        assert np.allclose(values, expected, atol=1e-12)
-        assert engine.n_cost_cache_hits == 1
-
-    def test_invalid_backend_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError):
-            PairwiseEMDEngine(backend="Simplex")  # typo: case-sensitive
-        with pytest.raises(ConfigurationError):
-            PairwiseEMDEngine(backend="sinkhorn")  # not a backend name
-        with pytest.raises(ConfigurationError):
-            PairwiseEMDEngine(backend="sinkhorn_batch")  # removed backend
-
-    def test_histogram_detector_uses_cache(self, rng):
-        # Histogram signatures over a fixed range share one bin-centre grid
-        # whenever all bins are occupied, which is the workload the cache
-        # is for; verify end-to-end through the banded matrix build.
-        sigs = self.make_common_support_signatures(rng, n=8, k=4, dim=1)
-        engine = PairwiseEMDEngine(backend="linprog")  # force the LP path in 1-D
-        engine.banded_matrix(sigs, 4)
-        assert engine.n_cost_cache_hits > 0
 
 
 class TestFromDenseVectorised:
@@ -577,21 +485,23 @@ class TestInspectionIndexPlumbing:
 
 
 class TestEngineConfigValidation:
-    def test_invalid_parallel_backend_in_config(self):
+    @pytest.mark.parametrize("parallel_backend", ["gpu", "thread"])
+    def test_invalid_parallel_backend_in_config(self, parallel_backend):
         with pytest.raises(ConfigurationError):
-            DetectorConfig(parallel_backend="gpu")
+            DetectorConfig(parallel_backend=parallel_backend)
 
     def test_invalid_worker_count_in_config(self):
         with pytest.raises(ConfigurationError):
             DetectorConfig(n_workers=0)
 
-    def test_threaded_detector_matches_serial(self, rng):
+    def test_process_detector_matches_serial(self, rng):
         bags = [rng.normal(0, 1, size=(12, 2)) for _ in range(10)]
         base = dict(
             tau=3, tau_test=3, signature_method="exact", n_bootstrap=20, random_state=4
         )
         serial = BagChangePointDetector(DetectorConfig(**base)).detect(bags)
-        threaded = BagChangePointDetector(
-            DetectorConfig(parallel_backend="thread", n_workers=2, **base)
-        ).detect(bags)
-        assert np.allclose(serial.scores, threaded.scores, atol=1e-10)
+        with BagChangePointDetector(
+            DetectorConfig(parallel_backend="process", n_workers=2, **base)
+        ) as detector:
+            pooled = detector.detect(bags)
+        assert np.allclose(serial.scores, pooled.scores, atol=1e-10)

@@ -4,8 +4,8 @@ Covers:
 
 * the two-phase push contract (``prepare``/``commit``/``rollback``) the
   batched drain is built on;
-* batched-vs-sequential drain parity ≤ 1e-12 across every solver
-  backend and every ``on_stream_error`` policy, including interleaved
+* batched-vs-sequential drain parity ≤ 1e-12 across every ground
+  distance and every ``on_stream_error`` policy, including interleaved
   faults and a poison pair injected into a cross-stream stacked solve
   (sibling streams sharing the stack must commit bit-identically);
 * the block-backpressure regression: inline drains must not discard the
@@ -27,11 +27,11 @@ import numpy as np
 import pytest
 
 from repro.core import DetectorConfig, OnlineBagDetector
-from repro.emd import EMD_SOLVERS
 from repro.emd.batch import PairwiseEMDEngine
 from repro.exceptions import ConfigurationError, SolverError, ValidationError
 from repro.service import StreamSupervisor, SupervisorPolicy
 from repro.testing.faults import inject_transient_solver_error
+from test_sharding import DISTINCT_GROUND_DISTANCES
 
 TOL = 1e-12
 N_STREAMS = 3
@@ -57,15 +57,15 @@ def service_config(**overrides):
     return DetectorConfig(**defaults)
 
 
-def backend_config(backend, **overrides):
-    """A config exercising ``backend`` on histogram signatures."""
+def histogram_config(ground_distance, **overrides):
+    """A config exercising ``ground_distance`` on histogram signatures."""
     defaults = dict(
         tau=3,
         tau_test=3,
         signature_method="histogram",
         bins=3,
         histogram_range=[(-6.0, 10.0), (-6.0, 10.0)],
-        emd_backend=backend,
+        ground_distance=ground_distance,
         n_bootstrap=20,
         random_state=7,
     )
@@ -243,11 +243,11 @@ def _parity_run(config_for, batch, rounds=12, error_policy="strict"):
     return emitted, histories
 
 
-@pytest.mark.parametrize("backend", EMD_SOLVERS)
+@pytest.mark.parametrize("ground_distance", DISTINCT_GROUND_DISTANCES)
 class TestBatchedDrainParity:
-    def test_histogram_streams_match_sequential(self, backend):
+    def test_histogram_streams_match_sequential(self, ground_distance):
         def config_for(_s):
-            return backend_config(backend)
+            return histogram_config(ground_distance)
 
         seq_emitted, seq = _parity_run(config_for, batch=False)
         bat_emitted, bat = _parity_run(config_for, batch=True)
@@ -259,9 +259,9 @@ class TestBatchedDrainParity:
             name for name, _ in bat_emitted
         ]
 
-    def test_kmeans_streams_match_sequential(self, backend):
+    def test_kmeans_streams_match_sequential(self, ground_distance):
         def config_for(s):
-            return service_config(emd_backend=backend, random_state=50 + s)
+            return service_config(ground_distance=ground_distance, random_state=50 + s)
 
         _, seq = _parity_run(config_for, batch=False)
         _, bat = _parity_run(config_for, batch=True)

@@ -41,12 +41,26 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--emd-backend", "sinkhorn_batch"], ["--sinkhorn-epsilon", "0.1"]],
-        ids=["removed-backend", "removed-flag"],
+        [
+            ["--emd-backend", "sinkhorn_batch"],
+            ["--sinkhorn-epsilon", "0.1"],
+            ["--emd-backend", "auto"],
+            ["--parallel", "thread"],
+            ["shard-build", "--mode", "thread"],
+        ],
+        ids=[
+            "removed-backend",
+            "removed-flag",
+            "removed-emd-backend-flag",
+            "removed-thread-pool",
+            "removed-thread-shard-mode",
+        ],
     )
-    def test_removed_entropic_options_are_rejected(self, tmp_path, flags):
+    def test_removed_options_are_rejected(self, tmp_path, flags):
+        subcommand = flags[:1] if flags[0] == "shard-build" else []
+        options = flags[len(subcommand):]
         with pytest.raises(SystemExit) as excinfo:
-            main([str(tmp_path / "x.npz"), *flags])
+            main([*subcommand, str(tmp_path / "x.npz"), *options])
         assert excinfo.value.code == 2
 
     def test_custom_options(self, tmp_path):
@@ -70,15 +84,14 @@ class TestMain:
         assert lines[0] == "time,score,lower,upper,gamma,alert"
         assert len(lines) > 1
 
-    def test_linprog_batch_backend(self, npz_stream, capsys):
-        exit_code = main(
-            [str(npz_stream), "--tau", "3", "--tau-test", "3",
-             "--signature", "histogram", "--emd-backend", "linprog_batch",
-             "--bootstrap", "40", "--seed", "0"]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert output.splitlines()[0] == "time,score,lower,upper,gamma,alert"
+    def test_process_pool_run_matches_serial(self, npz_stream, capsys):
+        base = [str(npz_stream), "--tau", "3", "--tau-test", "3",
+                "--signature", "histogram", "--bootstrap", "40", "--seed", "0"]
+        assert main(base) == 0
+        serial = capsys.readouterr().out
+        assert serial.splitlines()[0] == "time,score,lower,upper,gamma,alert"
+        assert main(base + ["--parallel", "process", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
     def test_csv_input_with_output_file(self, csv_stream, tmp_path):
         out_path = tmp_path / "result.csv"

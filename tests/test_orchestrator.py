@@ -17,7 +17,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.emd import EMD_SOLVERS, PairwiseEMDEngine
+from repro.emd import PairwiseEMDEngine
 from repro.emd.orchestrator import (
     QUARANTINE_FILENAME,
     InlineWorkerBackend,
@@ -51,15 +51,18 @@ from repro.testing import (
     tamper_checkpoint_values,
     truncate_checkpoint,
 )
-from test_sharding import histogram_signatures, irregular_signatures
+from test_sharding import (
+    DISTINCT_GROUND_DISTANCES,
+    histogram_signatures,
+    irregular_signatures,
+)
 
 PARITY_TOL = 1e-12
 
 
-def reference_band(signatures, bandwidth, backend="auto"):
-    return np.asarray(
-        PairwiseEMDEngine(backend=backend).banded_matrix(signatures, bandwidth).band
-    )
+def reference_band(signatures, bandwidth, ground_distance="euclidean"):
+    engine = PairwiseEMDEngine(ground_distance=ground_distance)
+    return np.asarray(engine.banded_matrix(signatures, bandwidth).band)
 
 
 def assert_band_parity(band, reference):
@@ -68,7 +71,9 @@ def assert_band_parity(band, reference):
     assert np.nanmax(np.where(np.isnan(deltas), 0.0, deltas)) <= PARITY_TOL
 
 
-def make_orchestrator(plan, *, policy=None, checkpoint_dir=None, backend="auto", **kwargs):
+def make_orchestrator(
+    plan, *, policy=None, checkpoint_dir=None, ground_distance="euclidean", **kwargs
+):
     # Pin the slot count: the orchestrator defaults to the host CPU
     # count, and straggler speculation needs a free slot to fire, so the
     # tests must not depend on the machine they run on.
@@ -76,7 +81,7 @@ def make_orchestrator(plan, *, policy=None, checkpoint_dir=None, backend="auto",
     fake = FakeClock()
     orchestrator = ShardOrchestrator(
         plan,
-        EngineSettings(backend=backend),
+        EngineSettings(ground_distance=ground_distance),
         policy=policy,
         mode="serial",
         checkpoint_dir=checkpoint_dir,
@@ -155,16 +160,16 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------- #
-# No-fault parity (every backend)
+# No-fault parity (every ground distance)
 # ---------------------------------------------------------------------- #
 class TestNoFaultParity:
-    @pytest.mark.parametrize("backend", EMD_SOLVERS)
-    def test_orchestrated_band_matches_plain(self, backend):
+    @pytest.mark.parametrize("ground_distance", DISTINCT_GROUND_DISTANCES)
+    def test_orchestrated_band_matches_plain(self, ground_distance):
         signatures = histogram_signatures(20, seed=3)
         plan = ShardPlan.build(len(signatures), 6, 4)
-        orchestrator, _ = make_orchestrator(plan, backend=backend)
+        orchestrator, _ = make_orchestrator(plan, ground_distance=ground_distance)
         band = orchestrator.run(signatures)
-        assert_band_parity(band, reference_band(signatures, 6, backend))
+        assert_band_parity(band, reference_band(signatures, 6, ground_distance))
         assert orchestrator.n_shards_computed == plan.n_shards
         assert orchestrator.n_retries == 0
         assert len(orchestrator.quarantine) == 0
@@ -189,7 +194,7 @@ class TestNoFaultParity:
     def test_rejects_unknown_mode(self):
         plan = ShardPlan.build(10, 4, 2)
         with pytest.raises(ConfigurationError):
-            ShardOrchestrator(plan, mode="thread")
+            ShardOrchestrator(plan, mode="thread")  # no thread pools
 
 
 # ---------------------------------------------------------------------- #
@@ -458,14 +463,16 @@ class TestCheckpointValidation:
 
     def test_stale_fingerprint_checkpoint_is_requeued(self, tmp_path):
         signatures, plan = self.build_checkpoints(tmp_path)
-        stale, _ = make_orchestrator(plan, checkpoint_dir=tmp_path, backend="simplex")
+        stale, _ = make_orchestrator(
+            plan, checkpoint_dir=tmp_path, ground_distance="manhattan"
+        )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             band = stale.run(signatures)
         assert stale.n_checkpoints_requeued == plan.n_shards
         assert stale.n_shards_resumed == 0
         assert any("engine configuration" in str(w.message) for w in caught)
-        assert_band_parity(band, reference_band(signatures, 6, "simplex"))
+        assert_band_parity(band, reference_band(signatures, 6, "manhattan"))
 
 
 # ---------------------------------------------------------------------- #

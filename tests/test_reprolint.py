@@ -18,18 +18,16 @@ from typing import get_args
 import pytest
 
 from repro.emd.registry import (
-    BATCHED_SOLVERS,
     EMD_SOLVERS,
+    ENGINE_SOLVERS,
     PAIRWISE_SOLVERS,
     PARALLEL_BACKENDS,
     POISON_POLICIES,
-    SHARD_MODES,
-    BatchedSolverName,
     EMDSolverName,
+    EngineSolverName,
     PairwiseSolverName,
     ParallelBackendName,
     PoisonPolicyName,
-    ShardModeName,
 )
 from tools.reprolint import all_rules, lint_paths, lint_source
 from tools.reprolint.cli import main as reprolint_main
@@ -140,7 +138,9 @@ def test_rl008_catches_each_breakage_mode():
 def test_rl005_internal_allowlist_is_documented():
     # The allow-list must stay small and deliberate; growing it should be
     # a conscious edit to this test as well.
-    assert CONFIG_INTERNAL_FIELDS == frozenset({"histogram_range", "estimator"})
+    assert CONFIG_INTERNAL_FIELDS == frozenset(
+        {"histogram_range", "estimator", "emd_backend"}
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -205,17 +205,16 @@ def test_src_and_tools_lint_clean():
 def test_registry_matches_literal_types():
     assert set(EMD_SOLVERS) == set(get_args(EMDSolverName))
     assert set(PAIRWISE_SOLVERS) == set(get_args(PairwiseSolverName))
-    assert set(BATCHED_SOLVERS) == set(get_args(BatchedSolverName))
+    assert set(ENGINE_SOLVERS) == set(get_args(EngineSolverName))
     assert set(PARALLEL_BACKENDS) == set(get_args(ParallelBackendName))
-    assert set(SHARD_MODES) == set(get_args(ShardModeName))
     assert set(POISON_POLICIES) == set(get_args(PoisonPolicyName))
 
 
-def test_solver_subsets_partition_the_registry():
-    pairwise, batched = set(PAIRWISE_SOLVERS), set(BATCHED_SOLVERS)
-    assert pairwise | batched == set(EMD_SOLVERS)
-    assert pairwise & batched == set()
-    assert set(SHARD_MODES) <= set(PARALLEL_BACKENDS)
+def test_solver_subsets_cover_the_registry():
+    # "auto" is both emd()'s default and the engine's one route.
+    pairwise, engine = set(PAIRWISE_SOLVERS), set(ENGINE_SOLVERS)
+    assert pairwise | engine == set(EMD_SOLVERS)
+    assert pairwise & engine == {"auto"}
 
 
 def test_reprolint_fallback_registry_is_in_sync():

@@ -4,7 +4,7 @@ Covers the three robustness layers of the supervisor stack:
 
 * snapshot/restore — a stream killed at an arbitrary push and restored
   from its snapshot reproduces the uninterrupted run's full score
-  history to 1e-12, on every solver backend; corrupt, tampered and
+  history to 1e-12, under every ground distance; corrupt, tampered and
   fingerprint-mismatched snapshots are rejected with
   :class:`~repro.exceptions.CheckpointError`;
 * per-stream fault isolation — a solver failure in one stream is
@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.core import DetectorConfig, OnlineBagDetector
-from repro.emd import EMD_SOLVERS
 from repro.exceptions import (
     BackpressureError,
     CheckpointError,
@@ -44,6 +43,8 @@ from repro.testing.faults import (
     tamper_snapshot_payload,
     truncate_checkpoint,
 )
+
+from test_sharding import DISTINCT_GROUND_DISTANCES, restamp_format_version
 
 TOL = 1e-12
 
@@ -68,15 +69,15 @@ def service_config(**overrides):
     return DetectorConfig(**defaults)
 
 
-def backend_config(backend, **overrides):
-    """A config exercising ``backend`` on common-support signatures."""
+def histogram_config(ground_distance, **overrides):
+    """A config exercising ``ground_distance`` on common-support signatures."""
     defaults = dict(
         tau=3,
         tau_test=3,
         signature_method="histogram",
         bins=3,
         histogram_range=[(-6.0, 10.0), (-6.0, 10.0)],
-        emd_backend=backend,
+        ground_distance=ground_distance,
         n_bootstrap=20,
         random_state=7,
     )
@@ -155,12 +156,12 @@ class TestStateDict:
 
 
 # ---------------------------------------------------------------------- #
-# Snapshot files: kill / restore / replay parity, per solver backend
+# Snapshot files: kill / restore / replay parity, per ground distance
 # ---------------------------------------------------------------------- #
 class TestSnapshotRestoreParity:
-    @pytest.mark.parametrize("backend", EMD_SOLVERS)
-    def test_kill_restore_replay_matches_uninterrupted(self, tmp_path, backend):
-        cfg = backend_config(backend)
+    @pytest.mark.parametrize("ground_distance", DISTINCT_GROUND_DISTANCES)
+    def test_kill_restore_replay_matches_uninterrupted(self, tmp_path, ground_distance):
+        cfg = histogram_config(ground_distance)
         fingerprint = config_fingerprint(cfg)
         bags = make_bags(22, seed=4)
         full = OnlineBagDetector(cfg)
@@ -168,20 +169,20 @@ class TestSnapshotRestoreParity:
             full.push(bag)
         # Seeded random kill points — the property must hold wherever the
         # stream dies, including mid-warmup and deep into emission.
-        kill_rng = np.random.default_rng(abs(hash(backend)) % (2**32))
+        kill_rng = np.random.default_rng(DISTINCT_GROUND_DISTANCES.index(ground_distance))
         kills = kill_rng.integers(2, len(bags) - 1, size=2)
         for kill in kills:
-            victim = OnlineBagDetector(backend_config(backend))
+            victim = OnlineBagDetector(histogram_config(ground_distance))
             for bag in bags[:kill]:
                 victim.push(bag)
             save_stream_snapshot(
-                tmp_path, f"victim-{backend}-{kill}", victim.state_dict(), fingerprint
+                tmp_path, f"victim-{ground_distance}-{kill}", victim.state_dict(), fingerprint
             )
             state = load_stream_snapshot(
-                tmp_path, f"victim-{backend}-{kill}", fingerprint
+                tmp_path, f"victim-{ground_distance}-{kill}", fingerprint
             )
             restored = OnlineBagDetector.from_state_dict(
-                state, backend_config(backend)
+                state, histogram_config(ground_distance)
             )
             for bag in bags[kill:]:
                 restored.push(bag)
@@ -207,6 +208,13 @@ def _snapshot_for_corruption(tmp_path, name="victim"):
 
 
 class TestSnapshotRejection:
+    def test_previous_format_version_rejected(self, tmp_path):
+        # v2 snapshots hashed emd_backend into their config fingerprint.
+        path, fingerprint = _snapshot_for_corruption(tmp_path)
+        restamp_format_version(path, 2)
+        with pytest.raises(CheckpointError, match="format version 2, expected 3"):
+            load_stream_snapshot(tmp_path, "victim", fingerprint)
+
     def test_truncated_snapshot_rejected(self, tmp_path):
         path, fingerprint = _snapshot_for_corruption(tmp_path)
         truncate_checkpoint(path)
@@ -234,7 +242,7 @@ class TestSnapshotRejection:
     def test_fingerprint_ignores_runtime_knobs(self):
         base = service_config()
         assert config_fingerprint(base) == config_fingerprint(
-            service_config(history_limit=64, parallel_backend="thread", n_workers=2)
+            service_config(history_limit=64, parallel_backend="process", n_workers=2)
         )
         assert config_fingerprint(base) != config_fingerprint(
             service_config(n_bootstrap=40)

@@ -1,4 +1,8 @@
-"""Tests for the sharded band builder (:mod:`repro.emd.sharding`)."""
+"""Tests for the sharded band build (:mod:`repro.emd.sharding`).
+
+Shards are executed by :class:`~repro.emd.orchestrator.ShardOrchestrator`;
+its fault-handling paths are covered in ``test_orchestrator.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,27 +12,31 @@ import pytest
 from repro import BagChangePointDetector
 from repro.core import DetectorConfig
 from repro.emd import (
-    EMD_SOLVERS,
     BandedDistanceMatrix,
     EngineSettings,
     PairwiseEMDEngine,
+    RetryPolicy,
+    ShardOrchestrator,
     ShardPlan,
-    ShardRunner,
     band_pair_indices,
     load_shard_checkpoint,
     merge_shards,
     save_shard_checkpoint,
-    sharded_banded_matrix,
 )
+from repro.emd.sharding import _compute_shard_values
 from repro.exceptions import (
     CheckpointError,
-    ConfigurationError,
+    OrchestratorError,
     SolverError,
     ValidationError,
 )
 from repro.signatures import Signature, SignatureBuilder
 
 MERGE_TOL = 1e-12
+
+#: Every ground distance once ("manhattan" is a second name for
+#: "cityblock"): the one solver knob the parity suites run over.
+DISTINCT_GROUND_DISTANCES = ("euclidean", "sqeuclidean", "cityblock", "chebyshev")
 
 
 def histogram_signatures(n_bags, side=4, dim=2, seed=0):
@@ -51,6 +59,27 @@ def irregular_signatures(n_bags, seed=0):
     bags = [rng.normal(0.0, 1.0, size=(25, 2)) for _ in range(n_bags)]
     builder = SignatureBuilder("kmeans", n_clusters=4, random_state=seed)
     return builder.build_sequence(bags)
+
+
+def restamp_format_version(path, version):
+    """Rewrite an ``.npz`` artefact's ``format_version`` stamp in place."""
+    with np.load(path, allow_pickle=False) as archive:
+        entries = {name: np.asarray(archive[name]) for name in archive.files}
+    entries["format_version"] = np.array(version)
+    with open(path, "wb") as handle:
+        np.savez(handle, **entries)
+
+
+def serial_orchestrator(plan, settings=None, *, checkpoint_dir=None, max_retries=2):
+    """Shards one after another in-process, so failures land in order."""
+    return ShardOrchestrator(
+        plan,
+        settings,
+        policy=RetryPolicy(max_retries=max_retries),
+        mode="serial",
+        n_workers=1,
+        checkpoint_dir=checkpoint_dir,
+    )
 
 
 def band_pairs_set(plan):
@@ -186,13 +215,12 @@ class TestShardPlan:
 # ---------------------------------------------------------------------- #
 class TestEngineSettings:
     def test_from_config_carries_solver_knobs(self):
-        config = DetectorConfig(ground_distance="manhattan", emd_backend="simplex")
+        config = DetectorConfig(ground_distance="manhattan")
         settings = EngineSettings.from_config(config)
         assert settings.ground_distance == "manhattan"
-        assert settings.backend == "simplex"
         engine = settings.make_engine()
         assert engine.ground_distance == "manhattan"
-        assert engine.backend == "simplex"
+        assert engine.parallel_backend == "serial"
         engine.close()
 
     def test_fingerprint_changes_with_each_knob(self):
@@ -200,57 +228,30 @@ class TestEngineSettings:
         assert base.fingerprint() == EngineSettings().fingerprint()
         variants = [
             EngineSettings(ground_distance="manhattan"),
-            EngineSettings(backend="linprog_batch"),
-            EngineSettings(backend="simplex"),
+            EngineSettings(ground_distance="chebyshev"),
         ]
         prints = {settings.fingerprint() for settings in variants}
         assert len(prints) == len(variants)
         assert base.fingerprint() not in prints
-
-    @pytest.mark.parametrize("backend", ["nope", "sinkhorn_batch"])
-    def test_invalid_backend_rejected(self, backend):
-        with pytest.raises(ConfigurationError):
-            EngineSettings(backend=backend)
 
 
 # ---------------------------------------------------------------------- #
 # Merge parity with the single-process build
 # ---------------------------------------------------------------------- #
 class TestMergeParity:
-    @pytest.mark.parametrize("backend", EMD_SOLVERS)
-    def test_histogram_band_matches_single_process(self, backend):
-        signatures = histogram_signatures(24, seed=3)
-        bandwidth = 6
-        reference = PairwiseEMDEngine(backend=backend).banded_matrix(
-            signatures, bandwidth
-        )
-        plan = ShardPlan.build(len(signatures), bandwidth, 4)
-        runner = ShardRunner(plan, EngineSettings(backend=backend), mode="serial")
-        merged = runner.run(signatures)
-        assert np.nanmax(np.abs(merged.band - reference.band)) <= MERGE_TOL
-
-    def test_irregular_band_uses_stacked_lp_and_matches(self):
-        # k-means signatures: all supports distinct, so the stacked exact
-        # LPs grouped by (d, K_a, K_b) are what actually runs.
-        signatures = irregular_signatures(18, seed=5)
-        bandwidth = 5
-        reference = PairwiseEMDEngine(backend="auto").banded_matrix(
-            signatures, bandwidth
-        )
-        merged = sharded_banded_matrix(signatures, bandwidth, 3, mode="serial")
-        assert np.nanmax(np.abs(merged.band - reference.band)) <= MERGE_TOL
-
     def test_process_mode_matches_serial(self):
         signatures = histogram_signatures(16, seed=7)
         plan = ShardPlan.build(len(signatures), 5, 3)
-        serial = ShardRunner(plan, mode="serial").run(signatures)
-        process = ShardRunner(plan, mode="process", n_workers=2).run(signatures)
+        serial = ShardOrchestrator(plan, mode="serial").run(signatures)
+        process = ShardOrchestrator(plan, mode="process", n_workers=2).run(signatures)
         assert np.nanmax(np.abs(process.band - serial.band)) <= MERGE_TOL
 
     def test_shard_count_does_not_change_the_band(self):
         signatures = histogram_signatures(20, seed=11)
         bands = [
-            sharded_banded_matrix(signatures, 6, k, mode="serial").band
+            ShardOrchestrator(ShardPlan.build(len(signatures), 6, k), mode="serial")
+            .run(signatures)
+            .band
             for k in (1, 2, 5)
         ]
         for other in bands[1:]:
@@ -266,34 +267,34 @@ class TestMergeParity:
             merge_shards(plan, values)
 
     def test_signature_count_must_match_plan(self):
+        # Checked before any worker process is started.
         plan = ShardPlan.build(10, 4, 2)
         with pytest.raises(ValidationError):
-            ShardRunner(plan, mode="serial").run(histogram_signatures(9))
+            ShardOrchestrator(plan, mode="process").run(histogram_signatures(9))
 
 
 # ---------------------------------------------------------------------- #
 # Checkpoints
 # ---------------------------------------------------------------------- #
 class TestCheckpoints:
-    def make(self, tmp_path, n_shards=4, **settings_kwargs):
+    def make(self, tmp_path, n_shards=4):
         signatures = histogram_signatures(20, seed=2)
         plan = ShardPlan.build(len(signatures), 6, n_shards)
-        runner = ShardRunner(
-            plan,
-            EngineSettings(**settings_kwargs),
-            mode="serial",
-            checkpoint_dir=tmp_path / "ckpt",
-        )
-        return signatures, plan, runner
+        orchestrator = serial_orchestrator(plan, checkpoint_dir=tmp_path / "ckpt")
+        return signatures, plan, orchestrator
 
     def test_resume_after_simulated_crash(self, tmp_path):
-        signatures, plan, runner = self.make(tmp_path)
+        signatures, plan, _ = self.make(tmp_path)
         # The "crashed" first run finished two of four shards.
-        runner.run_shard(signatures, 0)
-        runner.run_shard(signatures, 2)
-        resumed = ShardRunner(
-            plan, EngineSettings(), mode="serial", checkpoint_dir=tmp_path / "ckpt"
-        )
+        settings = EngineSettings()
+        by_row = dict(enumerate(signatures))
+        with settings.make_engine() as engine:
+            for shard_id in (0, 2):
+                values = _compute_shard_values(engine, by_row, plan, shard_id)
+                save_shard_checkpoint(
+                    tmp_path / "ckpt", plan, shard_id, values, settings.fingerprint()
+                )
+        resumed = serial_orchestrator(plan, checkpoint_dir=tmp_path / "ckpt")
         merged = resumed.run(signatures)
         assert resumed.n_shards_resumed == 2
         assert resumed.n_shards_computed == plan.n_shards - 2
@@ -301,41 +302,44 @@ class TestCheckpoints:
         assert np.nanmax(np.abs(merged.band - reference.band)) <= MERGE_TOL
 
     def test_full_resume_computes_nothing(self, tmp_path):
-        signatures, plan, runner = self.make(tmp_path)
-        first = runner.run(signatures)
-        again = ShardRunner(
-            plan, EngineSettings(), mode="serial", checkpoint_dir=tmp_path / "ckpt"
-        )
+        signatures, plan, orchestrator = self.make(tmp_path)
+        first = orchestrator.run(signatures)
+        again = serial_orchestrator(plan, checkpoint_dir=tmp_path / "ckpt")
         second = again.run(signatures)
         assert again.n_shards_computed == 0
         assert again.n_shards_resumed == plan.n_shards
         assert np.nanmax(np.abs(second.band - first.band)) == 0.0
 
     def test_stale_fingerprint_rejected(self, tmp_path):
-        signatures, plan, runner = self.make(tmp_path)
-        runner.run(signatures)
-        stale = ShardRunner(
-            plan,
-            EngineSettings(ground_distance="manhattan"),
-            mode="serial",
-            checkpoint_dir=tmp_path / "ckpt",
-        )
+        signatures, plan, orchestrator = self.make(tmp_path)
+        orchestrator.run(signatures)
+        stale = EngineSettings(ground_distance="manhattan").fingerprint()
         with pytest.raises(CheckpointError, match="different engine configuration"):
-            stale.run(signatures)
+            load_shard_checkpoint(tmp_path / "ckpt", plan, 0, stale)
 
     def test_stale_plan_rejected(self, tmp_path):
-        signatures, plan, runner = self.make(tmp_path)
-        runner.run(signatures)
+        signatures, plan, orchestrator = self.make(tmp_path)
+        orchestrator.run(signatures)
         other_plan = ShardPlan.build(len(signatures), 6, 3)
-        stale = ShardRunner(
-            other_plan, EngineSettings(), mode="serial", checkpoint_dir=tmp_path / "ckpt"
-        )
         with pytest.raises(CheckpointError, match="different shard plan"):
-            stale.run(signatures)
+            load_shard_checkpoint(
+                tmp_path / "ckpt", other_plan, 0, EngineSettings().fingerprint()
+            )
+
+    def test_previous_format_version_rejected(self, tmp_path):
+        # v3 checkpoints hashed the solver name into their fingerprint.
+        plan = ShardPlan.build(20, 6, 4)
+        fingerprint = EngineSettings().fingerprint()
+        path = save_shard_checkpoint(
+            tmp_path, plan, 0, np.zeros(plan.shard(0).n_pairs), fingerprint
+        )
+        restamp_format_version(path, 3)
+        with pytest.raises(CheckpointError, match="format version 3, expected 4"):
+            load_shard_checkpoint(tmp_path, plan, 0, fingerprint)
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
-        signatures, plan, runner = self.make(tmp_path)
-        runner.run(signatures)
+        signatures, plan, orchestrator = self.make(tmp_path)
+        orchestrator.run(signatures)
         path = tmp_path / "ckpt" / "shard_00001.npz"
         path.write_bytes(b"this is not an npz archive")
         with pytest.raises(CheckpointError, match="unreadable"):
@@ -359,7 +363,7 @@ class TestCheckpoints:
         # Checkpoints must be written as each shard finishes, not after
         # the whole run: a failure (or kill) in shard k leaves shards
         # 0 … k−1 on disk for the next run to resume.
-        signatures, plan, runner = self.make(tmp_path)
+        signatures, plan, _ = self.make(tmp_path)
         real_compute = PairwiseEMDEngine.compute_pairs
         calls = {"n": 0}
 
@@ -370,13 +374,13 @@ class TestCheckpoints:
             return real_compute(self, pairs)
 
         monkeypatch.setattr(PairwiseEMDEngine, "compute_pairs", failing_compute)
-        with pytest.raises(SolverError):
-            runner.run(signatures)
+        failing = serial_orchestrator(plan, checkpoint_dir=tmp_path / "ckpt", max_retries=0)
+        with pytest.raises(OrchestratorError) as excinfo:
+            failing.run(signatures)
+        assert isinstance(excinfo.value.__cause__, SolverError)
         monkeypatch.undo()
         assert len(list((tmp_path / "ckpt").glob("shard_*.npz"))) == 2
-        resumed = ShardRunner(
-            plan, EngineSettings(), mode="serial", checkpoint_dir=tmp_path / "ckpt"
-        )
+        resumed = serial_orchestrator(plan, checkpoint_dir=tmp_path / "ckpt")
         merged = resumed.run(signatures)
         assert resumed.n_shards_resumed == 2
         reference = PairwiseEMDEngine().banded_matrix(signatures, plan.bandwidth)
@@ -406,18 +410,22 @@ class TestSolverErrorContext:
         signatures = histogram_signatures(12, seed=1)
         plan = ShardPlan.build(len(signatures), 4, 2)
 
+        # An unattributed failure (no pair_indices): with pair_indices the
+        # orchestrator would bisect and rescue the shard instead.
         def boom(self, pairs):
-            raise SolverError("synthetic failure", pair_indices=(0, 1))
+            raise SolverError("synthetic failure")
 
         monkeypatch.setattr(PairwiseEMDEngine, "compute_pairs", boom)
-        runner = ShardRunner(plan, mode="serial")
-        with pytest.raises(SolverError) as excinfo:
-            runner.run(signatures)
-        assert excinfo.value.shard_id == 0
+        orchestrator = serial_orchestrator(plan, max_retries=0)
+        with pytest.raises(OrchestratorError) as excinfo:
+            orchestrator.run(signatures)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, SolverError)
+        assert cause.shard_id == 0
         spec = plan.shard(0)
-        assert excinfo.value.shard_rows == (spec.row_start, spec.row_stop)
-        assert excinfo.value.pair_indices == (0, 1)
-        assert "shard 0" in str(excinfo.value)
+        assert cause.shard_rows == (spec.row_start, spec.row_stop)
+        assert cause.pair_indices is None
+        assert "shard 0" in str(cause)
 
 
 # ---------------------------------------------------------------------- #
@@ -459,45 +467,65 @@ class TestDetectorIntegration:
 
 # ---------------------------------------------------------------------- #
 # Crash-resume property (PR 7): a build killed at a random seeded point
-# and resumed must merge to the identical band, for every backend.
+# and resumed must merge to the identical band.
 # ---------------------------------------------------------------------- #
 @pytest.mark.faults
 class TestCrashResumeProperty:
-    @pytest.mark.parametrize("backend", EMD_SOLVERS)
+    @pytest.mark.parametrize("ground_distance", DISTINCT_GROUND_DISTANCES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_killed_build_resumes_to_parity(self, tmp_path, backend, seed):
-        from repro.emd.orchestrator import WorkerCrash
+    def test_killed_build_resumes_to_parity(self, tmp_path, ground_distance, seed):
         from repro.testing import inject_worker_crash
 
         signatures = histogram_signatures(20, seed=13)
         bandwidth = 6
         plan = ShardPlan.build(len(signatures), bandwidth, 4)
-        reference = PairwiseEMDEngine(backend=backend).banded_matrix(
+        reference = PairwiseEMDEngine(ground_distance=ground_distance).banded_matrix(
             signatures, bandwidth
         )
-        # Kill the build at a seeded-random pair; partially finished
-        # shards leave their checkpoints behind.
+        settings = EngineSettings(ground_distance=ground_distance)
+        # Kill the build at a seeded-random pair with no retry budget;
+        # shards finished before it leave their checkpoints behind.
         kill_at = int(np.random.default_rng(seed).integers(plan.n_pairs))
-        runner = ShardRunner(
-            plan,
-            EngineSettings(backend=backend),
-            mode="serial",
-            checkpoint_dir=tmp_path / "ckpt",
+        killed = serial_orchestrator(
+            plan, settings, checkpoint_dir=tmp_path / "ckpt", max_retries=0
         )
         with inject_worker_crash(at_pair=kill_at, times=1):
-            with pytest.raises(WorkerCrash):
-                runner.run(signatures)
+            with pytest.raises(OrchestratorError, match="crashed"):
+                killed.run(signatures)
         n_saved = len(list((tmp_path / "ckpt").glob("shard_*.npz")))
         assert n_saved < plan.n_shards
         # The resumed build picks up the survivors and matches exactly.
-        resumed = ShardRunner(
-            plan,
-            EngineSettings(backend=backend),
-            mode="serial",
-            checkpoint_dir=tmp_path / "ckpt",
-        )
+        resumed = serial_orchestrator(plan, settings, checkpoint_dir=tmp_path / "ckpt")
         merged = resumed.run(signatures)
         assert resumed.n_shards_resumed == n_saved
+        assert np.nanmax(np.abs(merged.band - reference.band)) <= MERGE_TOL
+
+    def test_killed_process_build_resumes_to_parity(self, tmp_path):
+        # A worker process dies with no retry budget: the shards that
+        # finished before it are checkpointed, and a resumed process-mode
+        # build computes only the rest.
+        from repro.testing import inject_worker_crash
+
+        signatures = histogram_signatures(16, seed=7)
+        # Only the last shard owns more than 12 pairs (12, 12, 30), so the
+        # crash hits it after the first two finished.
+        plan = ShardPlan(len(signatures), 5, (0, 3, 6, 16))
+        reference = PairwiseEMDEngine().banded_matrix(signatures, 5)
+        ckpt = tmp_path / "ckpt"
+        killed = ShardOrchestrator(
+            plan,
+            policy=RetryPolicy(max_retries=0),
+            mode="process",
+            n_workers=1,
+            checkpoint_dir=ckpt,
+        )
+        with inject_worker_crash(at_pair=12, hard=True, sentinel=tmp_path / "die"):
+            with pytest.raises(OrchestratorError, match="shard 2"):
+                killed.run(signatures)
+        assert len(list(ckpt.glob("shard_*.npz"))) == 2
+        resumed = ShardOrchestrator(plan, mode="process", n_workers=2, checkpoint_dir=ckpt)
+        merged = resumed.run(signatures)
+        assert (resumed.n_shards_resumed, resumed.n_shards_computed) == (2, 1)
         assert np.nanmax(np.abs(merged.band - reference.band)) <= MERGE_TOL
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -563,24 +591,6 @@ class TestSharedMemoryCleanup:
             _SharedSignatureStore(histogram_signatures(8))
         monkeypatch.undo()
         assert self.shm_segments() == before
-
-    def test_worker_death_mid_shard_leaks_nothing(self, tmp_path):
-        from repro.testing import inject_worker_crash
-
-        signatures = histogram_signatures(16, seed=7)
-        plan = ShardPlan.build(len(signatures), 5, 3)
-        reference = PairwiseEMDEngine().banded_matrix(signatures, 5)
-        before = self.shm_segments()
-        # A worker process hard-exits mid-shard; the broken pool makes
-        # the runner fall back to serial execution, and the parent-side
-        # store must still unlink every segment on the way out.
-        with inject_worker_crash(
-            at_pair=0, hard=True, sentinel=tmp_path / "die"
-        ):
-            with pytest.warns(RuntimeWarning, match="falling back to serial"):
-                merged = ShardRunner(plan, mode="process", n_workers=2).run(signatures)
-        assert self.shm_segments() == before
-        assert np.nanmax(np.abs(merged.band - reference.band)) <= MERGE_TOL
 
     def test_orchestrator_worker_death_leaks_nothing(self, tmp_path):
         from repro.emd.orchestrator import ShardOrchestrator

@@ -57,7 +57,7 @@ def pooled_detector(backend: str, rng: np.random.Generator) -> BagChangePointDet
     )
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_pooled_build_equals_bag_by_bag(backend):
     bags = make_bags()
     reference, reference_rng = bag_by_bag(bags, seed=3)

@@ -2,17 +2,18 @@
 
 The solver matrix has four entries, all exact — the closed-form 1-D fast
 path, the transportation simplex, the per-pair HiGHS LP and the
-block-diagonal batched LP — and the detector freely routes pairs between
-them.  This module pins down what "the same distance" means across that
-matrix:
+block-diagonal batched LP.  The band engine routes pairs between the
+first and the last; the per-pair solvers are :func:`repro.emd.emd`
+oracles.  This module pins down what "the same distance" means across
+that matrix:
 
 * every path must agree with the per-pair LP reference to within
   ``1e-9`` on one shared fixture corpus covering common-support
   histograms, unequal total masses, zero-weight atoms, single-atom
   signatures and 1-/2-/3-dimensional supports;
-* every backend must satisfy the EMD's metric invariants
-  (non-negativity, symmetry, identity of indiscernibles, triangle
-  inequality) on seeded random normalised signatures;
+* the engine and both per-pair solvers must satisfy the EMD's metric
+  invariants (non-negativity, symmetry, identity of indiscernibles,
+  triangle inequality) on seeded random normalised signatures;
 * a :class:`~repro.exceptions.SolverError` escaping a *batched* group
   solve must identify the pairs that were stacked into the failing
   solve.
@@ -23,7 +24,6 @@ import pytest
 
 from repro.core import BagChangePointDetector, DetectorConfig
 from repro.emd import (
-    EMD_SOLVERS,
     PairwiseEMDEngine,
     emd,
     solve_emd_linprog,
@@ -116,22 +116,22 @@ def reference():
 # Cross-solver parity on the shared corpus
 # ---------------------------------------------------------------------- #
 class TestExactSolverParity:
-    @pytest.mark.parametrize("backend", EMD_SOLVERS)
     @pytest.mark.parametrize("name", CASE_NAMES)
-    def test_engine_backend_matches_reference(self, backend, name, reference):
+    def test_engine_matches_reference(self, name, reference):
         sig_a, sig_b = CORPUS[name]
-        with PairwiseEMDEngine(backend=backend) as engine:
+        with PairwiseEMDEngine() as engine:
             assert engine.compute(sig_a, sig_b) == pytest.approx(
                 reference[name], abs=PARITY_TOL
             )
 
-    @pytest.mark.parametrize("backend", EMD_SOLVERS)
-    def test_engine_backend_matches_reference_in_one_batch(self, backend, reference):
+    @pytest.mark.parametrize("parallel_backend", ["serial", "process"])
+    def test_engine_matches_reference_in_one_batch(self, parallel_backend, reference):
         # The whole corpus in a single compute_pairs call exercises the
         # stacked route's (d, K_a, K_b) grouping across mixed shapes and
-        # dimensionalities.
+        # dimensionalities, with its chunks solved in-process or on the
+        # worker pool.
         pairs = [CORPUS[name] for name in CASE_NAMES]
-        with PairwiseEMDEngine(backend=backend) as engine:
+        with PairwiseEMDEngine(parallel_backend=parallel_backend, n_workers=2) as engine:
             distances = engine.compute_pairs(pairs)
         expected = np.array([reference[name] for name in CASE_NAMES])
         np.testing.assert_allclose(distances, expected, atol=PARITY_TOL, rtol=0)
@@ -196,7 +196,7 @@ class TestExactSolverParity:
 
 
 # ---------------------------------------------------------------------- #
-# Metric invariants per exact backend (seeded property tests)
+# Metric invariants per exact solver (seeded property tests)
 # ---------------------------------------------------------------------- #
 def _random_normalised_signature(rng, dim, max_size=6):
     size = int(rng.integers(1, max_size + 1))
@@ -205,48 +205,51 @@ def _random_normalised_signature(rng, dim, max_size=6):
     return Signature(positions, weights / weights.sum())
 
 
-@pytest.mark.parametrize("backend", EMD_SOLVERS)
+def _distances(solver, pairs):
+    """The band engine's distances, or one ``emd()`` call per pair."""
+    if solver == "engine":
+        with PairwiseEMDEngine() as engine:
+            return engine.compute_pairs(pairs)
+    return [emd(a, b, backend=solver) for a, b in pairs]
+
+
+@pytest.mark.parametrize("solver", ("engine", "linprog", "simplex"))
 @pytest.mark.parametrize("seed", (0, 1, 2, 3, 4))
 class TestMetricInvariants:
-    """EMD on normalised signatures is a metric; each backend must honour it."""
+    """EMD on normalised signatures is a metric; each solver must honour it."""
 
-    def test_non_negativity_and_symmetry(self, backend, seed):
+    def test_non_negativity_and_symmetry(self, solver, seed):
         rng = np.random.default_rng(1000 + seed)
         dim = int(rng.integers(1, 4))
         sig_a = _random_normalised_signature(rng, dim)
         sig_b = _random_normalised_signature(rng, dim)
-        with PairwiseEMDEngine(backend=backend) as engine:
-            forward, backward = engine.compute_pairs(
-                [(sig_a, sig_b), (sig_b, sig_a)]
-            )
+        forward, backward = _distances(solver, [(sig_a, sig_b), (sig_b, sig_a)])
         assert forward >= 0.0
         assert forward == pytest.approx(backward, abs=PARITY_TOL)
 
-    def test_identity_of_indiscernibles(self, backend, seed):
+    def test_identity_of_indiscernibles(self, solver, seed):
         rng = np.random.default_rng(2000 + seed)
         dim = int(rng.integers(1, 4))
         sig_a = _random_normalised_signature(rng, dim)
         distinct = Signature(
             np.array(sig_a.positions) + 5.0, np.array(sig_a.weights)
         )
-        with PairwiseEMDEngine(backend=backend) as engine:
-            self_distance, cross_distance = engine.compute_pairs(
-                [(sig_a, sig_a), (sig_a, distinct)]
-            )
+        self_distance, cross_distance = _distances(
+            solver, [(sig_a, sig_a), (sig_a, distinct)]
+        )
         assert self_distance == pytest.approx(0.0, abs=PARITY_TOL)
         assert cross_distance > 1.0  # translation by 5 moves every atom
         assert cross_distance == pytest.approx(5.0 * np.sqrt(dim), rel=1e-6)
 
-    def test_triangle_inequality(self, backend, seed):
+    def test_triangle_inequality(self, solver, seed):
         rng = np.random.default_rng(3000 + seed)
         dim = int(rng.integers(1, 4))
         sig_a = _random_normalised_signature(rng, dim)
         sig_b = _random_normalised_signature(rng, dim)
         sig_c = _random_normalised_signature(rng, dim)
-        with PairwiseEMDEngine(backend=backend) as engine:
-            d_ab, d_bc, d_ac = engine.compute_pairs(
-                [(sig_a, sig_b), (sig_b, sig_c), (sig_a, sig_c)]
-            )
+        d_ab, d_bc, d_ac = _distances(
+            solver, [(sig_a, sig_b), (sig_b, sig_c), (sig_a, sig_c)]
+        )
         assert d_ac <= d_ab + d_bc + PARITY_TOL
 
 
@@ -283,7 +286,7 @@ class TestBatchedGroupErrorContext:
             raise SolverError("synthetic stacked failure", pair_indices=[1])
 
         monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_solver)
-        engine = PairwiseEMDEngine(backend="linprog_batch")
+        engine = PairwiseEMDEngine()
         with pytest.raises(SolverError) as excinfo:
             engine.compute_pairs(pairs)
         assert excinfo.value.pair_indices == (2,)
@@ -303,7 +306,7 @@ class TestBatchedGroupErrorContext:
             raise SolverError("synthetic stacked failure")
 
         monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_solver)
-        engine = PairwiseEMDEngine(backend="linprog_batch")
+        engine = PairwiseEMDEngine()
         with pytest.raises(SolverError) as excinfo:
             engine.compute_pairs(pairs)
         assert excinfo.value.pair_indices == (0, 1, 2)
@@ -379,26 +382,34 @@ class TestBatchValidation:
 # Detector-level wiring
 # ---------------------------------------------------------------------- #
 class TestDetectorWiring:
-    def test_linprog_batch_detect_matches_linprog(self):
+    def test_stacked_detect_matches_per_pair_linprog(self, monkeypatch):
         rng = np.random.default_rng(5)
         bags = [rng.normal(0.0, 1.0, size=(30, 2)) for _ in range(8)]
         bags += [rng.normal(3.0, 1.0, size=(30, 2)) for _ in range(8)]
 
-        def run(backend):
+        def run(per_pair_oracle):
             config = DetectorConfig(
                 tau=3,
                 tau_test=3,
                 signature_method="histogram",
                 bins=3,
                 n_bootstrap=25,
-                emd_backend=backend,
                 random_state=0,
             )
             with BagChangePointDetector(config) as detector:
+                if per_pair_oracle:
+                    # Replace the band engine's solves by one per-pair LP each.
+                    monkeypatch.setattr(
+                        detector._engine,
+                        "compute_pairs",
+                        lambda pairs: np.array(
+                            [emd(a, b, backend="linprog") for a, b in pairs]
+                        ),
+                    )
                 return detector.detect(bags)
 
-        reference = run("linprog")
-        batched = run("linprog_batch")
+        reference = run(per_pair_oracle=True)
+        batched = run(per_pair_oracle=False)
         np.testing.assert_allclose(
             batched.scores, reference.scores, atol=PARITY_TOL, rtol=0
         )
@@ -406,7 +417,12 @@ class TestDetectorWiring:
             batched.lower, reference.lower, atol=PARITY_TOL, rtol=0
         )
 
-    @pytest.mark.parametrize("backend", ["linprog_block", "sinkhorn_batch"])
+    @pytest.mark.parametrize(
+        "backend", ["linprog_block", "sinkhorn_batch", "linprog", "simplex"]
+    )
     def test_config_rejects_unknown_backend(self, backend):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as excinfo:
             DetectorConfig(emd_backend=backend)
+        if backend in ("linprog", "simplex"):
+            # Per-pair solvers remain emd() oracles, not engine routes.
+            assert "repro.emd.emd(backend=" in str(excinfo.value)

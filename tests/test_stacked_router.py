@@ -1,12 +1,13 @@
 """The stacked exact route of :class:`~repro.emd.PairwiseEMDEngine`.
 
-Under ``backend="auto"`` (also named ``"linprog_batch"``) every pair
-that misses the closed-form 1-D integral is grouped by ``(dimension, K_a, K_b)`` and
-solved in block-diagonal HiGHS LPs.  These tests pin that route to:
+Every pair that misses the closed-form 1-D integral is grouped by
+``(dimension, K_a, K_b)`` and solved in block-diagonal HiGHS LPs.  These tests pin that route to:
 
 * an LP-free oracle — for equal-mass signatures with integer counts, the
   EMD equals an assignment problem over unit masses, which
   :func:`scipy.optimize.linear_sum_assignment` solves exactly;
+* a band of per-pair :func:`~repro.emd.emd` oracle values, over every
+  signature builder and every ground distance;
 * the per-pair LP :func:`~repro.emd.solve_emd_linprog`, with unequal
   masses and zero-weight atoms;
 * itself under re-batching (full, split, one pair at a time);
@@ -25,11 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from repro.core import BagChangePointDetector
+from repro.core import BagChangePointDetector, DetectorConfig
 from repro.emd import PairwiseEMDEngine, emd, solve_emd_linprog, solve_emd_linprog_batch
-from repro.emd.ground_distance import cross_distance_matrix
+from repro.emd.ground_distance import GROUND_DISTANCES, cross_distance_matrix
 from repro.exceptions import SolverError
-from repro.signatures import Signature
+from repro.signatures import Signature, SignatureBuilder
+from repro.signatures.builders import SIGNATURE_METHODS
 
 ORACLE_TOL = 1e-9
 PARITY_TOL = 1e-12
@@ -148,6 +150,39 @@ class TestAssignmentOracle:
 # ---------------------------------------------------------------------- #
 # Per-pair LP parity
 # ---------------------------------------------------------------------- #
+class TestOracleBandGrid:
+    """The default engine's band against per-pair ``emd()`` oracles."""
+
+    @pytest.fixture(scope="class")
+    def signatures_by_method(self):
+        rng = np.random.default_rng(2016)
+        bags = [rng.normal(0.0 if t < 4 else 2.0, 1.0, size=(12, 2)) for t in range(8)]
+        return {
+            method: SignatureBuilder(
+                method, n_clusters=3, bins=3, random_state=7
+            ).build_sequence(bags)
+            for method in SIGNATURE_METHODS
+        }
+
+    @pytest.mark.parametrize("oracle", ["linprog", "simplex"])
+    @pytest.mark.parametrize("method", SIGNATURE_METHODS)
+    @pytest.mark.parametrize("ground_distance", GROUND_DISTANCES)
+    def test_band_matches_per_pair_oracle(
+        self, signatures_by_method, oracle, method, ground_distance
+    ):
+        signatures = signatures_by_method[method]
+        band = PairwiseEMDEngine(ground_distance=ground_distance).banded_matrix(
+            signatures, 4
+        )
+        rows, cols = band.pair_indices()
+        expected = [
+            emd(signatures[i], signatures[j], ground_distance=ground_distance, backend=oracle)
+            for i, j in zip(rows.tolist(), cols.tolist())
+        ]
+        values = [band[i, j] for i, j in zip(rows.tolist(), cols.tolist())]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=ORACLE_TOL)
+
+
 class TestPerPairParity:
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_unequal_masses_match_per_pair_lp(self, dimension):
@@ -160,14 +195,8 @@ class TestPerPairParity:
         # Unequal masses miss the closed form even in 1-D.
         assert engine.n_linprog_batched == len(pairs)
 
-    def test_linprog_batch_is_a_name_for_auto(self):
-        rng = np.random.default_rng(12)
-        pairs = random_pairs(rng, 20)
-        engine = PairwiseEMDEngine(backend="linprog_batch")
-        assert engine.backend == "auto"
-        np.testing.assert_array_equal(
-            engine.compute_pairs(pairs), PairwiseEMDEngine().compute_pairs(pairs)
-        )
+    def test_linprog_batch_is_stored_as_auto(self):
+        assert DetectorConfig(emd_backend="linprog_batch").emd_backend == "auto"
 
     def test_zero_weight_atoms_match_per_pair_lp(self):
         rng = np.random.default_rng(4)
@@ -252,7 +281,7 @@ class TestShapeGroupFailures:
             (small(), small()),
         ]
 
-    @pytest.mark.parametrize("parallel_backend", ["serial", "thread"])
+    @pytest.mark.parametrize("parallel_backend", ["serial", "process"])
     @pytest.mark.parametrize(
         "reported, expected", [(None, (1, 3)), ([1], (3,)), ([0], (1,))]
     )
@@ -279,11 +308,11 @@ class TestShapeGroupFailures:
 # Worker pool
 # ---------------------------------------------------------------------- #
 class TestWorkerPool:
-    def test_thread_pool_solves_the_chunks_like_serial(self):
+    def test_process_pool_solves_the_chunks_like_serial(self):
         rng = np.random.default_rng(11)
         pairs = random_pairs(rng, 200)
         reference = PairwiseEMDEngine().compute_pairs(pairs)
-        with PairwiseEMDEngine(parallel_backend="thread", n_workers=2) as engine:
+        with PairwiseEMDEngine(parallel_backend="process", n_workers=2) as engine:
             values = engine.compute_pairs(pairs)
             assert engine._pool is not None
         np.testing.assert_array_equal(values, reference)

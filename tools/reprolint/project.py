@@ -50,9 +50,8 @@ MODERN_RNG_ATTRS: Final[FrozenSet[str]] = frozenset(
 )
 
 #: Executor / pool methods whose first callable argument ends up in
-#: another thread or process and must therefore be a module-level
-#: function (process pools pickle it; thread-mode code shares the same
-#: call sites, so the invariant is enforced uniformly).
+#: another process and must therefore be a module-level function
+#: (process pools pickle it).
 SUBMIT_METHODS: Final[FrozenSet[str]] = frozenset(
     {"submit", "map", "imap", "imap_unordered", "apply_async", "starmap"}
 )
@@ -101,8 +100,11 @@ CONFIG_CLASS: Final[str] = "DetectorConfig"
 #: - ``estimator``: a nested ``EstimatorConfig`` of information-estimator
 #:   constants from the paper; tuning them is a library-level operation,
 #:   not a CLI switch.
+#: - ``emd_backend``: it has one meaning (the engine's one exact route;
+#:   ``"linprog_batch"`` is stored as ``"auto"``), so the CLI treats it
+#:   as a constant; per-pair solvers are ``repro.emd.emd`` oracles.
 CONFIG_INTERNAL_FIELDS: Final[FrozenSet[str]] = frozenset(
-    {"histogram_range", "estimator"}
+    {"histogram_range", "estimator", "emd_backend"}
 )
 
 #: Identifier fragments that mark a function as handling persisted

@@ -1,12 +1,11 @@
 """RL003 — callables handed to executors must be module-level.
 
-PR 5's ``ShardRunner`` and the engine's worker pools submit jobs to
-``concurrent.futures`` executors.  Process pools *pickle* the submitted
-callable, and pickle resolves functions by qualified name — lambdas and
-functions nested inside another function do not survive the trip.  The
-thread and process pools share the same call sites, so the invariant is
-enforced uniformly: anything passed to ``.submit()``/``.map()`` (and
-friends) must be a plain module-level function.
+The engine's worker pool submits jobs to a ``concurrent.futures``
+process pool, which *pickles* the submitted callable, and pickle
+resolves functions by qualified name — lambdas and functions nested
+inside another function do not survive the trip.  So anything passed
+to ``.submit()``/``.map()`` (and friends) must be a plain module-level
+function.
 
 Flagged:
 
