@@ -8,11 +8,11 @@ with descriptive messages instead of letting numpy errors propagate.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ConfigurationError, ValidationError
 
 ArrayLike = Union[np.ndarray, Sequence[float], Sequence[Sequence[float]]]
 
@@ -120,3 +120,15 @@ def check_window(value: Optional[int], name: str) -> Optional[int]:
     if value is None:
         return None
     return check_positive_int(value, name, minimum=1)
+
+
+def check_choices(config: Any) -> None:
+    """Raise :class:`ConfigurationError` for a field outside its registry.
+
+    ``config.CHOICES`` maps field names to the tuple of accepted values;
+    the same table gives the CLI its ``choices=``.
+    """
+    for name, allowed in config.CHOICES.items():
+        value = getattr(config, name)
+        if value not in allowed:
+            raise ConfigurationError(f"{name} must be one of {allowed}, got {value!r}")

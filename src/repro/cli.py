@@ -15,11 +15,18 @@ standard output (or written to ``--output``).
 A second mode, ``repro-detect shard-build``, runs only the band-build
 stage through the fault-tolerant shard orchestrator
 (:mod:`repro.emd.orchestrator`): it partitions the EMD band into
-row-block shards, executes them on killable worker processes with
+row-block shards and executes them on killable worker processes with
 retry/backoff, timeouts, straggler re-dispatch and poison-pair
-quarantine (resuming from validated per-shard checkpoints), and writes
-the merged band as an ``.npz`` — the expensive half of a detection run,
-made restartable and fault-tolerant.
+quarantine.  Its product is the checksummed per-shard checkpoint
+directory (``--shard-checkpoint-dir``), stamped with the plan, the
+solver settings and the input data: a detection run with the same
+flags (shard-build takes exactly the detect run's band-shaping flags)
+resumes its band from it instead of recomputing.
+
+Every flag that sets a :class:`~repro.core.DetectorConfig` or
+:class:`~repro.service.SupervisorPolicy` field is generated from the
+field's metadata (:func:`add_config_args`), and an invalid value exits
+with a usage error.
 
 A third mode, ``repro-detect serve-replay``, replays the recorded bags
 through the crash-safe streaming service
@@ -47,32 +54,102 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Collection, List, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
 from .core import BagChangePointDetector, BagSequence, DetectorConfig
-from .core.config import SCORES, SIGNATURE_METHODS, WEIGHTINGS
-from .emd.ground_distance import GROUND_DISTANCES
-from .emd.orchestrator import RetryPolicy, ShardOrchestrator
-from .emd.registry import PARALLEL_BACKENDS, POISON_POLICIES
-from .emd.sharding import EngineSettings, ShardPlan
-from .exceptions import ValidationError
-from .service import (
-    BACKPRESSURE_POLICIES,
-    STREAM_ERROR_POLICIES,
-    StreamSupervisor,
-    SupervisorPolicy,
+from .emd.orchestrator import ShardOrchestrator
+from .exceptions import ConfigurationError, ValidationError
+from .service import StreamSupervisor, SupervisorPolicy
+
+#: ``DetectorConfig`` fields of the sharded band build.  A stream has no
+#: band to shard, so ``serve-replay`` leaves them out.
+SHARD_FIELDS = (
+    "parallel_backend",
+    "n_workers",
+    "n_shards",
+    "shard_checkpoint_dir",
+    "shard_retries",
+    "shard_timeout",
+    "on_poison_pair",
+)
+#: The detect run's flags that shape the band: ``shard-build`` takes
+#: exactly these, so its checkpoints resume under the same flags.
+BAND_FIELDS = (
+    "tau",
+    "tau_test",
+    "signature_method",
+    "n_clusters",
+    "bins",
+    "ground_distance",
+    "random_state",
+    *SHARD_FIELDS,
 )
 
 
+def _flag_type(hint: Any) -> type:
+    """The argparse ``type=`` of a field: the first of ``Path``, ``float``
+    and ``int`` in its annotation, else ``str``."""
+    members = get_args(hint) or (hint,)
+    return next((kind for kind in (Path, float, int) if kind in members), str)
+
+
+def add_config_args(
+    parser: argparse.ArgumentParser, cls: Any, names: Optional[Collection[str]] = None
+) -> None:
+    """Add one flag per CLI field of the config dataclass ``cls``.
+
+    A field is a flag unless its metadata opts out (``{"cli": False}``);
+    ``names`` narrows the flags to those fields.  The flag is
+    ``--<field-name>`` unless the metadata names another; ``dest`` is the
+    field name, the default the field default, the type taken from the
+    annotation and the choices from ``cls.CHOICES`` (or the metadata's
+    CLI-only ``choices``).  A ``bool`` field is a ``store_true`` switch.
+    """
+    hints = get_type_hints(cls)
+    for spec in fields(cls):
+        if spec.metadata.get("cli") is False or (names is not None and spec.name not in names):
+            continue
+        flag = spec.metadata.get("flag", "--" + spec.name.replace("_", "-"))
+        help_text = spec.metadata["help"]
+        if hints[spec.name] is bool:
+            parser.add_argument(flag, dest=spec.name, action="store_true", help=help_text)
+            continue
+        choices = cls.CHOICES.get(spec.name, spec.metadata.get("choices"))
+        parser.add_argument(
+            flag,
+            dest=spec.name,
+            type=_flag_type(hints[spec.name]),
+            default=spec.default,
+            choices=choices,
+            metavar=None if choices else flag[2:].replace("-", "_").upper(),
+            help=help_text,
+        )
+
+
+def config_from_args(cls: Any, args: argparse.Namespace) -> Any:
+    """Build ``cls`` from every field of it that ``args`` carries."""
+    return cls(**{spec.name: getattr(args, spec.name) for spec in fields(cls)
+                  if hasattr(args, spec.name)})
+
+
+def _parse_config(parser: argparse.ArgumentParser, cls: Any, args: argparse.Namespace) -> Any:
+    """:func:`config_from_args`, with an invalid value a usage error (exit 2)."""
+    try:
+        return config_from_args(cls, args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
+
+
 def _load_npz(path: Path) -> List[np.ndarray]:
-    archive = np.load(path)
-    names = sorted(archive.files)
-    if not names:
-        raise ValidationError(f"{path} contains no arrays")
-    return [np.asarray(archive[name], dtype=float) for name in names]
+    with np.load(path) as archive:
+        names = sorted(archive.files)
+        if not names:
+            raise ValidationError(f"{path} contains no arrays")
+        return [np.asarray(archive[name], dtype=float) for name in names]
 
 
 def _load_csv(path: Path, time_column: str) -> List[np.ndarray]:
@@ -92,61 +169,9 @@ def _load_csv(path: Path, time_column: str) -> List[np.ndarray]:
     return sequence.arrays()
 
 
-def _add_common_args(parser: argparse.ArgumentParser) -> None:
-    """Arguments shared by the detect run and ``shard-build``.
-
-    Everything here shapes the signatures or the solver, so both modes
-    must agree on names, choices and defaults — the shard-build band is
-    only reusable by a detect run computed under the same settings.
-    """
+def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("input", type=Path, help="input .npz (one array per bag) or long-format .csv")
     parser.add_argument("--time-column", default="time", help="time column name for CSV input")
-    parser.add_argument("--tau", type=int, default=5, help="reference window length")
-    parser.add_argument("--tau-test", type=int, default=5, help="test window length")
-    parser.add_argument(
-        "--signature",
-        choices=SIGNATURE_METHODS,
-        default="kmeans",
-        help="signature construction method",
-    )
-    parser.add_argument("--clusters", type=int, default=8, help="signature size K")
-    parser.add_argument(
-        "--bins", type=int, default=10,
-        help="bins per dimension for --signature histogram",
-    )
-    parser.add_argument(
-        "--ground-distance",
-        choices=GROUND_DISTANCES,
-        default="euclidean",
-        help="ground distance of the EMD between signature representatives",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
-
-
-def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
-    """Fault-tolerance knobs of the orchestrated band build.
-
-    Shared by the detect run (which orchestrates when sharding is on)
-    and ``shard-build``, so both modes expose identical recovery
-    behaviour.
-    """
-    parser.add_argument(
-        "--retries", type=int, default=2,
-        help="retry budget per shard: crashed, timed-out or transiently "
-        "failing shards are re-enqueued with exponential backoff up to "
-        "this many times before the build aborts",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=float, default=None,
-        help="kill and retry any shard attempt running longer than this "
-        "many seconds (default: no timeout)",
-    )
-    parser.add_argument(
-        "--on-poison-pair", choices=POISON_POLICIES, default="strict",
-        help="what to do with pairs that keep failing the solver after "
-        "bisection and exact-LP rescue: refuse the band (strict) or "
-        "return it with those entries masked as NaN (degraded)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,46 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-detect",
         description="Bag-of-data change-point detection (Koshijima, Hino & Murata).",
     )
-    _add_common_args(parser)
-    parser.add_argument("--score", choices=SCORES, default="kl", help="change-point score")
-    parser.add_argument(
-        "--weighting",
-        choices=WEIGHTINGS,
-        default="uniform",
-        help="window weighting: the paper's uniform weights or Eq. 15 discounting",
-    )
-    parser.add_argument(
-        "--parallel",
-        choices=PARALLEL_BACKENDS,
-        default="serial",
-        help="how the EMD engine computes distance batches",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-pool size for --parallel process (default: CPU count)",
-    )
-    parser.add_argument(
-        "--n-shards", type=int, default=None,
-        help="build the EMD band in this many row-block shards "
-        "(process-parallel with --parallel process; see shard-build)",
-    )
-    parser.add_argument(
-        "--shard-checkpoint-dir", type=Path, default=None,
-        help="directory for per-shard checkpoints; a killed run resumes "
-        "its band build from the last finished shard",
-    )
-    _add_orchestration_args(parser)
-    parser.add_argument(
-        "--lr-inspection-index", type=int, default=0,
-        help="test-window position of the inspected bag for --score lr",
-    )
-    parser.add_argument("--bootstrap", type=int, default=200, help="Bayesian bootstrap replicates")
-    parser.add_argument("--alpha", type=float, default=0.05, help="CI significance level")
-    parser.add_argument(
-        "--history-limit", type=int, default=None,
-        help="retain only this many most recent score points in the online "
-        "detector (default: unbounded)",
-    )
+    _add_input_args(parser)
+    add_config_args(parser, DetectorConfig)
     parser.add_argument("--output", type=Path, default=None, help="write CSV here instead of stdout")
     return parser
 
@@ -204,33 +191,12 @@ def build_shard_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-detect shard-build",
         description="Sharded, checkpointable build of the banded pairwise-EMD "
-        "matrix (the expensive stage of a detection run).",
+        "matrix (the expensive stage of a detection run).  A detect run "
+        "with the same flags resumes from --shard-checkpoint-dir.",
     )
-    _add_common_args(parser)
-    parser.add_argument(
-        "--n-shards", type=int, default=4,
-        help="number of contiguous row-block shards",
-    )
-    parser.add_argument(
-        "--mode", choices=PARALLEL_BACKENDS, default="process",
-        help="run each pending shard attempt in its own worker process "
-        "(signatures in shared memory) or sequentially in-process",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="maximum concurrently running shard attempts (default: CPU count)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir", type=Path, default=None,
-        help="write per-shard checkpoints here and resume from any that "
-        "match the current plan and solver configuration",
-    )
-    _add_orchestration_args(parser)
-    parser.add_argument(
-        "--output", type=Path, default=None,
-        help="write the merged band here as .npz (band, n, bandwidth, "
-        "plan_hash, fingerprint); default: report only",
-    )
+    _add_input_args(parser)
+    add_config_args(parser, DetectorConfig, BAND_FIELDS)
+    parser.set_defaults(n_shards=4, parallel_backend="process")
     return parser
 
 
@@ -243,20 +209,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "streams with snapshot/restore, per-stream fault isolation and "
         "bounded ingest queues.",
     )
-    _add_common_args(parser)
-    parser.add_argument("--score", choices=SCORES, default="kl", help="change-point score")
-    parser.add_argument(
-        "--weighting",
-        choices=WEIGHTINGS,
-        default="uniform",
-        help="window weighting: the paper's uniform weights or Eq. 15 discounting",
+    _add_input_args(parser)
+    add_config_args(
+        parser,
+        DetectorConfig,
+        [spec.name for spec in fields(DetectorConfig) if spec.name not in SHARD_FIELDS],
     )
-    parser.add_argument(
-        "--lr-inspection-index", type=int, default=0,
-        help="test-window position of the inspected bag for --score lr",
-    )
-    parser.add_argument("--bootstrap", type=int, default=200, help="Bayesian bootstrap replicates")
-    parser.add_argument("--alpha", type=float, default=0.05, help="CI significance level")
+    add_config_args(parser, SupervisorPolicy)
     parser.add_argument(
         "--streams", type=int, default=2,
         help="number of streams the recorded bags are dealt across",
@@ -265,38 +224,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--snapshot-dir", type=Path, default=None,
         help="directory for stream snapshots and the quarantine manifest; "
         "a restarted replay restores every stream from it",
-    )
-    parser.add_argument(
-        "--snapshot-every", type=int, default=None,
-        help="snapshot each stream after this many pushes (requires "
-        "--snapshot-dir); streams are always snapshotted at shutdown",
-    )
-    parser.add_argument(
-        "--on-stream-error", choices=STREAM_ERROR_POLICIES, default="strict",
-        help="what a solver failure during one stream's push does to that "
-        "stream: propagate with the bag requeued (strict), consume the bag "
-        "masked with NaN scores (degraded), or park the stream on its last "
-        "snapshot (quarantine)",
-    )
-    parser.add_argument(
-        "--backpressure", choices=BACKPRESSURE_POLICIES, default="block",
-        help="full-queue policy: drain inline (block), drop the bag (shed) "
-        "or raise (error)",
-    )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=64,
-        help="bound of each stream's ingest queue",
-    )
-    parser.add_argument(
-        "--batch-drain", action="store_true",
-        help="drain all streams through one cross-stream stacked solve per "
-        "round instead of one solve per stream (scores within 1e-12 of "
-        "the sequential drain)",
-    )
-    parser.add_argument(
-        "--history-limit", type=int, default=None,
-        help="retained score points per stream (default: the service's "
-        "bounded default)",
     )
     parser.add_argument(
         "--output", type=Path, default=None,
@@ -311,34 +238,15 @@ def serve_replay_main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.streams < 1:
         parser.error("--streams must be a positive integer")
+    policy: SupervisorPolicy = _parse_config(parser, SupervisorPolicy, args)
+    config: DetectorConfig = _parse_config(parser, DetectorConfig, args)
     bags = _load_bags(parser, args.input, args.time_column)
-
-    policy = SupervisorPolicy(
-        on_stream_error=args.on_stream_error,
-        backpressure=args.backpressure,
-        queue_capacity=args.queue_capacity,
-        snapshot_every=args.snapshot_every,
-        batch_drain=args.batch_drain,
-    )
 
     def stream_config(index: int) -> DetectorConfig:
         # Each stream draws from its own seeded generator so replays are
         # reproducible per stream, not just per run.
-        return DetectorConfig(
-            tau=args.tau,
-            tau_test=args.tau_test,
-            score=args.score,
-            signature_method=args.signature,
-            n_clusters=args.clusters,
-            bins=args.bins,
-            ground_distance=args.ground_distance,
-            history_limit=args.history_limit,
-            lr_inspection_index=args.lr_inspection_index,
-            weighting=args.weighting,
-            n_bootstrap=args.bootstrap,
-            alpha=args.alpha,
-            random_state=None if args.seed is None else args.seed + index,
-        )
+        seed = args.random_state
+        return replace(config, random_state=None if seed is None else seed + index)
 
     names = [f"stream-{index:02d}" for index in range(args.streams)]
     header = ["stream", "time", "score", "lower", "upper", "gamma", "alert"]
@@ -400,31 +308,14 @@ def shard_build_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``repro-detect shard-build``."""
     parser = build_shard_parser()
     args = parser.parse_args(argv)
+    config: DetectorConfig = _parse_config(parser, DetectorConfig, args)
     bags = _load_bags(parser, args.input, args.time_column)
 
-    config = DetectorConfig(
-        tau=args.tau,
-        tau_test=args.tau_test,
-        signature_method=args.signature,
-        n_clusters=args.clusters,
-        bins=args.bins,
-        ground_distance=args.ground_distance,
-        shard_retries=args.retries,
-        shard_timeout=args.shard_timeout,
-        on_poison_pair=args.on_poison_pair,
-        random_state=args.seed,
-    )
-    signatures = BagChangePointDetector(config).build_signatures(bags)
-    plan = ShardPlan.build(len(signatures), config.window_span, args.n_shards)
-    orchestrator = ShardOrchestrator(
-        plan,
-        EngineSettings.from_config(config),
-        policy=RetryPolicy.from_config(config),
-        mode=args.mode,
-        n_workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-    )
+    with BagChangePointDetector(config) as detector:
+        signatures = detector.build_signatures(bags)
+    orchestrator = ShardOrchestrator.from_config(config, len(signatures))
     band = orchestrator.run(signatures)
+    plan = orchestrator.plan
 
     print(
         f"built band: n={band.n} bandwidth={band.bandwidth} "
@@ -446,16 +337,6 @@ def shard_build_main(argv: Optional[Sequence[str]] = None) -> int:
             f"quarantined pairs: {sorted(orchestrator.quarantine.pair_set())}",
             file=sys.stderr,
         )
-    if args.output is not None:
-        np.savez(
-            args.output,
-            band=np.asarray(band.band),
-            n=np.array(band.n),
-            bandwidth=np.array(band.bandwidth),
-            plan_hash=np.array(plan.plan_hash()),
-            fingerprint=np.array(orchestrator.settings.fingerprint()),
-        )
-        print(f"band written to {args.output}", file=sys.stderr)
     return 0
 
 
@@ -600,30 +481,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return zoo_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
+    config: DetectorConfig = _parse_config(parser, DetectorConfig, args)
     bags = _load_bags(parser, args.input, args.time_column)
 
-    config = DetectorConfig(
-        tau=args.tau,
-        tau_test=args.tau_test,
-        score=args.score,
-        signature_method=args.signature,
-        n_clusters=args.clusters,
-        bins=args.bins,
-        ground_distance=args.ground_distance,
-        parallel_backend=args.parallel,
-        n_workers=args.workers,
-        n_shards=args.n_shards,
-        shard_checkpoint_dir=args.shard_checkpoint_dir,
-        shard_retries=args.retries,
-        shard_timeout=args.shard_timeout,
-        on_poison_pair=args.on_poison_pair,
-        history_limit=args.history_limit,
-        lr_inspection_index=args.lr_inspection_index,
-        weighting=args.weighting,
-        n_bootstrap=args.bootstrap,
-        alpha=args.alpha,
-        random_state=args.seed,
-    )
     with BagChangePointDetector(config) as detector:
         result = detector.detect(bags)
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._validation import check_positive_int
+from .._validation import check_choices, check_positive_int
+from ..emd.ground_distance import GROUND_DISTANCES
 from ..emd.registry import (
     ENGINE_SOLVERS,
     PAIRWISE_SOLVERS,
@@ -27,9 +28,7 @@ SCORES = ("kl", "lr")
 #: Window-weighting schemes: the paper's uniform weights or Eq. 15 discounting.
 WEIGHTINGS = ("uniform", "discounted")
 
-_SCORES = SCORES
-_WEIGHTING = WEIGHTINGS
-_SIGNATURE_METHODS = SIGNATURE_METHODS
+_NO_CLI = {"cli": False}
 
 
 @dataclass
@@ -93,8 +92,8 @@ class DetectorConfig:
         set, a killed detection run resumes its band build at the last
         finished shard (setting only this, without ``n_shards``, runs
         the build as a single checkpointed shard); checkpoints from a
-        different plan or solver configuration are rejected, never
-        merged.
+        different plan, solver configuration or input data are
+        rejected, never merged.
     shard_retries:
         Retry budget per shard of the fault-tolerant band build: a
         shard whose worker crashes, times out or fails transiently is
@@ -135,47 +134,136 @@ class DetectorConfig:
     random_state:
         Seed or generator controlling signature construction and the
         bootstrap.
+
+    Every field but ``histogram_range``, ``estimator`` and
+    ``emd_backend`` (``metadata={"cli": False}``) is a flag of
+    ``repro-detect`` (:func:`repro.cli.add_config_args`): its metadata
+    holds the help text, plus the flag where it is not
+    ``--<field-name>`` and CLI-only ``choices``.
     """
 
-    tau: int = 5
-    tau_test: int = 5
-    score: str = "kl"
-    signature_method: str = "kmeans"
-    n_clusters: int = 8
-    bins: Union[int, Sequence[int]] = 10
-    histogram_range: Optional[Sequence] = None
-    ground_distance: str = "euclidean"
-    emd_backend: EngineSolverName = "auto"
-    parallel_backend: ParallelBackendName = "serial"
-    n_workers: Optional[int] = None
-    n_shards: Optional[int] = None
-    shard_checkpoint_dir: Optional[Union[str, Path]] = None
-    shard_retries: int = 2
-    shard_timeout: Optional[float] = None
-    on_poison_pair: PoisonPolicyName = "strict"
-    history_limit: Optional[int] = None
-    lr_inspection_index: int = 0
-    weighting: str = "uniform"
-    n_bootstrap: int = 200
-    alpha: float = 0.05
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    random_state: Union[None, int, np.random.Generator] = None
+    #: Field → registry of its accepted values: ``__post_init__`` checks
+    #: membership and the CLI offers them as ``choices=``.
+    CHOICES: ClassVar[Mapping[str, Tuple[str, ...]]] = {
+        "score": SCORES,
+        "signature_method": SIGNATURE_METHODS,
+        "weighting": WEIGHTINGS,
+        "parallel_backend": PARALLEL_BACKENDS,
+        "on_poison_pair": POISON_POLICIES,
+    }
+
+    tau: int = field(default=5, metadata={"help": "reference window length"})
+    tau_test: int = field(default=5, metadata={"help": "test window length"})
+    score: str = field(default="kl", metadata={"help": "change-point score"})
+    signature_method: str = field(
+        default="kmeans",
+        metadata={"help": "signature construction method", "flag": "--signature"},
+    )
+    n_clusters: int = field(
+        default=8, metadata={"help": "signature size K", "flag": "--clusters"}
+    )
+    bins: Union[int, Sequence[int]] = field(
+        default=10, metadata={"help": "bins per dimension for --signature histogram"}
+    )
+    histogram_range: Optional[Sequence] = field(default=None, metadata=_NO_CLI)
+    ground_distance: str = field(
+        default="euclidean",
+        metadata={
+            "help": "ground distance of the EMD between signature representatives",
+            # The library also accepts a callable; the CLI only names.
+            "choices": GROUND_DISTANCES,
+        },
+    )
+    emd_backend: EngineSolverName = field(default="auto", metadata=_NO_CLI)
+    parallel_backend: ParallelBackendName = field(
+        default="serial",
+        metadata={
+            "help": "how the EMD engine computes distance batches; with "
+            "--n-shards, whether shard attempts run in worker processes",
+            "flag": "--parallel",
+        },
+    )
+    n_workers: Optional[int] = field(
+        default=None,
+        metadata={
+            "help": "worker-pool size for --parallel process, or the maximum "
+            "concurrently running shard attempts (default: CPU count)",
+            "flag": "--workers",
+        },
+    )
+    n_shards: Optional[int] = field(
+        default=None,
+        metadata={
+            "help": "build the EMD band in this many contiguous row-block "
+            "shards (process-parallel with --parallel process)"
+        },
+    )
+    shard_checkpoint_dir: Optional[Union[str, Path]] = field(
+        default=None,
+        metadata={
+            "help": "directory for per-shard checkpoints; a run resumes its "
+            "band build from every shard that matches the current plan, "
+            "solver configuration and input data"
+        },
+    )
+    shard_retries: int = field(
+        default=2,
+        metadata={
+            "help": "retry budget per shard: crashed, timed-out or transiently "
+            "failing shards are re-enqueued with exponential backoff up to "
+            "this many times before the build aborts",
+            "flag": "--retries",
+        },
+    )
+    shard_timeout: Optional[float] = field(
+        default=None,
+        metadata={
+            "help": "kill and retry any shard attempt running longer than this "
+            "many seconds (default: no timeout)"
+        },
+    )
+    on_poison_pair: PoisonPolicyName = field(
+        default="strict",
+        metadata={
+            "help": "what to do with pairs that keep failing the solver after "
+            "bisection and exact-LP rescue: refuse the band (strict) or "
+            "return it with those entries masked as NaN (degraded)"
+        },
+    )
+    history_limit: Optional[int] = field(
+        default=None,
+        metadata={
+            "help": "retain only this many most recent score points per "
+            "detector (default: unbounded; serve-replay streams use the "
+            "service's bounded default)"
+        },
+    )
+    lr_inspection_index: int = field(
+        default=0,
+        metadata={"help": "test-window position of the inspected bag for --score lr"},
+    )
+    weighting: str = field(
+        default="uniform",
+        metadata={
+            "help": "window weighting: the paper's uniform weights or Eq. 15 discounting"
+        },
+    )
+    n_bootstrap: int = field(
+        default=200,
+        metadata={"help": "Bayesian bootstrap replicates", "flag": "--bootstrap"},
+    )
+    alpha: float = field(default=0.05, metadata={"help": "CI significance level"})
+    estimator: EstimatorConfig = field(default_factory=EstimatorConfig, metadata=_NO_CLI)
+    random_state: Union[None, int, np.random.Generator] = field(
+        default=None, metadata={"help": "random seed", "flag": "--seed"}
+    )
 
     def __post_init__(self) -> None:
         if self.tau < 2:
             raise ConfigurationError("tau must be at least 2 (the reference window needs >= 2 bags)")
         if self.tau_test < 2:
             raise ConfigurationError("tau_test must be at least 2 (the test window needs >= 2 bags)")
-        if self.score not in _SCORES:
-            raise ConfigurationError(f"score must be one of {_SCORES}, got {self.score!r}")
-        if self.signature_method not in _SIGNATURE_METHODS:
-            raise ConfigurationError(
-                f"signature_method must be one of {_SIGNATURE_METHODS}, got {self.signature_method!r}"
-            )
-        if self.weighting not in _WEIGHTING:
-            raise ConfigurationError(
-                f"weighting must be one of {_WEIGHTING}, got {self.weighting!r}"
-            )
+        check_choices(self)
         if self.emd_backend not in ENGINE_SOLVERS:
             hint = (
                 "; per-pair solvers are called as repro.emd.emd(backend=...)"
@@ -195,10 +283,6 @@ class DetectorConfig:
                 check_positive_int(self.history_limit, "history_limit")
         except ValidationError as exc:
             raise ConfigurationError(str(exc)) from None
-        if self.parallel_backend not in PARALLEL_BACKENDS:
-            raise ConfigurationError(
-                f"parallel_backend must be one of {PARALLEL_BACKENDS}, got {self.parallel_backend!r}"
-            )
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be a positive integer or None")
         if self.shard_retries < 0:
@@ -210,10 +294,6 @@ class DetectorConfig:
         ):
             raise ConfigurationError(
                 f"shard_timeout must be a positive number or None, got {self.shard_timeout}"
-            )
-        if self.on_poison_pair not in POISON_POLICIES:
-            raise ConfigurationError(
-                f"on_poison_pair must be one of {POISON_POLICIES}, got {self.on_poison_pair!r}"
             )
         if not 0 <= self.lr_inspection_index < self.tau_test:
             raise ConfigurationError(

@@ -25,8 +25,7 @@ import numpy as np
 from .._typing import IntArray
 from .._validation import as_rng
 from ..emd import BandedDistanceMatrix, PairwiseEMDEngine
-from ..emd.orchestrator import RetryPolicy, ShardOrchestrator
-from ..emd.sharding import EngineSettings, ShardPlan
+from ..emd.orchestrator import ShardOrchestrator
 from ..exceptions import ValidationError
 from ..signatures import Signature, SignatureBuilder
 from .bag import BagSequence
@@ -140,18 +139,7 @@ class BagChangePointDetector:
         """
         cfg = self.config
         if cfg.n_shards is not None or cfg.shard_checkpoint_dir is not None:
-            # A checkpoint dir alone still means "make the build
-            # resumable": run it as a single checkpointed shard.
-            plan = ShardPlan.build(len(signatures), cfg.window_span, cfg.n_shards or 1)
-            orchestrator = ShardOrchestrator(
-                plan,
-                EngineSettings.from_config(cfg),
-                policy=RetryPolicy.from_config(cfg),
-                mode=cfg.parallel_backend,
-                n_workers=cfg.n_workers,
-                checkpoint_dir=cfg.shard_checkpoint_dir,
-            )
-            return orchestrator.run(signatures)
+            return ShardOrchestrator.from_config(cfg, len(signatures)).run(signatures)
         return self._engine.banded_matrix(signatures, self.config.window_span)
 
     # ------------------------------------------------------------------ #

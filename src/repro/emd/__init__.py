@@ -38,6 +38,7 @@ from .sharding import (
     EngineSettings,
     ShardPlan,
     ShardSpec,
+    band_fingerprint,
     load_shard_checkpoint,
     merge_shards,
     save_shard_checkpoint,
@@ -57,6 +58,7 @@ __all__ = [
     "EngineSettings",
     "ShardPlan",
     "ShardSpec",
+    "band_fingerprint",
     "load_shard_checkpoint",
     "merge_shards",
     "save_shard_checkpoint",

@@ -27,7 +27,7 @@ same shard layer through a work queue that survives those faults:
   refused (:class:`~repro.exceptions.PoisonPairError` with the manifest
   attached) or returned with a warning;
 * **checkpoint validation before merge** — existing checkpoints are
-  validated (plan hash + engine fingerprint + payload checksum) and
+  validated (plan hash + engine/data fingerprint + payload checksum) and
   corrupt or stale files are deleted and re-queued instead of aborting
   the resume.
 
@@ -92,6 +92,7 @@ from .sharding import (
     _compute_shard_values,
     _SharedSignatureStore,
     _signatures_from_arrays,
+    band_fingerprint,
     checkpoint_path,
     load_shard_checkpoint,
     merge_shards,
@@ -725,6 +726,24 @@ class ShardOrchestrator:
         self.quarantine: Optional[QuarantineManifest] = None
         self._reset_counters()
 
+    @classmethod
+    def from_config(cls, config: Any, n: int) -> "ShardOrchestrator":
+        """The orchestrator a ``DetectorConfig`` asks for over ``n`` signatures.
+
+        ``config.n_shards`` row-blocks (one when only
+        ``config.shard_checkpoint_dir`` is set: a single checkpointed
+        shard), run under ``config.parallel_backend``/``n_workers`` with
+        the config's engine settings and retry policy.
+        """
+        return cls(
+            ShardPlan.build(n, config.window_span, config.n_shards or 1),
+            EngineSettings.from_config(config),
+            policy=RetryPolicy.from_config(config),
+            mode=config.parallel_backend,
+            n_workers=config.n_workers,
+            checkpoint_dir=config.shard_checkpoint_dir,
+        )
+
     def _reset_counters(self) -> None:
         self.n_shards_computed = 0
         self.n_shards_resumed = 0
@@ -745,7 +764,7 @@ class ShardOrchestrator:
                 f"plan covers {self.plan.n} signatures, got {len(signatures)}"
             )
         self._reset_counters()
-        fingerprint = self.settings.fingerprint()
+        fingerprint = band_fingerprint(self.settings, signatures)
         manifest = QuarantineManifest(self.plan.plan_hash(), fingerprint)
         values: Dict[int, np.ndarray] = {}
         self._resume_checkpoints(values, fingerprint, manifest)

@@ -17,10 +17,11 @@ single-process build.  Three pieces:
   *halo* of up to ``bandwidth − 1`` signature rows beyond its range
   (read-only — halo pairs are owned by the next shard).
 * shard checkpoints — :func:`save_shard_checkpoint` writes one
-  finished shard as an ``.npz`` stamped with the plan hash and an
-  engine-config fingerprint; :func:`load_shard_checkpoint` refuses
+  finished shard as an ``.npz`` stamped with the plan hash and a
+  :func:`band_fingerprint` of the engine configuration and the input
+  signatures; :func:`load_shard_checkpoint` refuses
   (:class:`~repro.exceptions.CheckpointError`) a file produced under a
-  different plan or solver configuration.
+  different plan, solver configuration or input data.
 * :func:`merge_shards` — reassembles per-shard value vectors into the
   banded matrix.  The engine routes each pair independently of how
   pairs are batched, so the merged band equals the single-process build
@@ -61,8 +62,10 @@ from .ground_distance import GroundDistance
 #: bit flips inside a stored-uncompressed member do not — is detected
 #: before a corrupt shard can reach :func:`merge_shards`; v3 dropped the
 #: entropic solver's settings from the :class:`EngineSettings` fingerprint;
-#: v4 dropped the solver name, now that the engine has one route.
-CHECKPOINT_FORMAT_VERSION = 4
+#: v4 dropped the solver name, now that the engine has one route; v5
+#: stamps checkpoints with :func:`band_fingerprint`, which also hashes the
+#: input signatures.
+CHECKPOINT_FORMAT_VERSION = 5
 
 
 def _values_checksum(values: np.ndarray) -> str:
@@ -344,7 +347,8 @@ def load_shard_checkpoint(
     if not path.exists():
         return None
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # Opened here so a truncated archive cannot leak the handle.
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
             version = int(archive["format_version"])
             plan_hash = str(archive["plan_hash"])
             stamp = str(archive["fingerprint"])
@@ -367,9 +371,9 @@ def load_shard_checkpoint(
     if stamp != fingerprint:
         raise CheckpointError(
             f"checkpoint {path} was computed under a different engine "
-            f"configuration: expected fingerprint {fingerprint}, found "
-            f"{stamp}; clear the checkpoint directory or restore the "
-            "original solver settings"
+            f"configuration or input data: expected fingerprint "
+            f"{fingerprint}, found {stamp}; clear the checkpoint directory "
+            "or restore the original solver settings and input"
         )
     if values.shape != (spec.n_pairs,):
         raise CheckpointError(
@@ -430,6 +434,21 @@ def _pack_signatures(
     positions = np.concatenate([np.asarray(sig.positions, dtype=float) for sig in signatures])
     weights = np.concatenate([np.asarray(sig.weights, dtype=float) for sig in signatures])
     return offsets, positions, weights
+
+
+def band_fingerprint(settings: EngineSettings, signatures: Sequence[Signature]) -> str:
+    """Stamp of a band build: the engine fingerprint plus the input data.
+
+    Folds a sha256 of the packed signature arrays into
+    :meth:`EngineSettings.fingerprint`, so a checkpoint directory written
+    for other input data is re-queued, never resumed.  Kept out of
+    :meth:`EngineSettings.fingerprint` itself, which also keys the
+    streaming supervisor's batching and must not depend on the data.
+    """
+    digest = hashlib.sha256(settings.fingerprint().encode())
+    for array in _pack_signatures(signatures):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
 
 
 class _SharedSignatureStore:

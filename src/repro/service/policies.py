@@ -50,9 +50,10 @@ instead of once per stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Optional, Tuple, get_args
+from dataclasses import dataclass, field
+from typing import ClassVar, Literal, Mapping, Optional, Tuple, get_args
 
+from .._validation import check_choices
 from ..exceptions import ConfigurationError
 
 StreamErrorPolicyName = Literal["strict", "degraded", "quarantine"]
@@ -94,25 +95,53 @@ class SupervisorPolicy:
         stream (see module docstring).  Single-stream drains
         (``drain(name=...)``) and inline backpressure drains stay
         sequential either way.
+
+    Like :class:`~repro.core.DetectorConfig`, each field's ``metadata``
+    holds its CLI help and ``CHOICES`` its accepted values.
     """
 
-    on_stream_error: StreamErrorPolicyName = "strict"
-    backpressure: BackpressurePolicyName = "block"
-    queue_capacity: int = 64
-    snapshot_every: Optional[int] = None
-    batch_drain: bool = False
+    CHOICES: ClassVar[Mapping[str, Tuple[str, ...]]] = {
+        "on_stream_error": STREAM_ERROR_POLICIES,
+        "backpressure": BACKPRESSURE_POLICIES,
+    }
+
+    on_stream_error: StreamErrorPolicyName = field(
+        default="strict",
+        metadata={
+            "help": "what a solver failure during one stream's push does to "
+            "that stream: propagate with the bag requeued (strict), consume "
+            "the bag masked with NaN scores (degraded), or park the stream on "
+            "its last snapshot (quarantine)"
+        },
+    )
+    backpressure: BackpressurePolicyName = field(
+        default="block",
+        metadata={
+            "help": "full-queue policy: drain inline (block), drop the bag "
+            "(shed) or raise (error)"
+        },
+    )
+    queue_capacity: int = field(
+        default=64, metadata={"help": "bound of each stream's ingest queue"}
+    )
+    snapshot_every: Optional[int] = field(
+        default=None,
+        metadata={
+            "help": "snapshot each stream after this many pushes (requires "
+            "--snapshot-dir); streams are always snapshotted at shutdown"
+        },
+    )
+    batch_drain: bool = field(
+        default=False,
+        metadata={
+            "help": "drain all streams through one cross-stream stacked solve "
+            "per round instead of one solve per stream (scores within 1e-12 "
+            "of the sequential drain)"
+        },
+    )
 
     def __post_init__(self) -> None:
-        if self.on_stream_error not in STREAM_ERROR_POLICIES:
-            raise ConfigurationError(
-                f"on_stream_error must be one of {STREAM_ERROR_POLICIES}, "
-                f"got {self.on_stream_error!r}"
-            )
-        if self.backpressure not in BACKPRESSURE_POLICIES:
-            raise ConfigurationError(
-                f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
-                f"got {self.backpressure!r}"
-            )
+        check_choices(self)
         if not isinstance(self.queue_capacity, int) or self.queue_capacity < 1:
             raise ConfigurationError(
                 f"queue_capacity must be a positive integer, got {self.queue_capacity!r}"

@@ -349,7 +349,10 @@ def load_stream_snapshot(
     if not path.exists():
         return None
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load on a path leaks its handle when the archive is
+        # truncated (it raises before returning the NpzFile), so the file
+        # is opened, and closed, here.
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
             version = int(archive["format_version"])
             stamp = str(archive["fingerprint"])
             checksum = str(archive["checksum"])

@@ -1,11 +1,60 @@
 """Tests for the command-line interface."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, build_shard_parser, main
+from repro.cli import (
+    BAND_FIELDS,
+    SHARD_FIELDS,
+    build_parser,
+    build_serve_parser,
+    build_shard_parser,
+    config_from_args,
+    main,
+)
+from repro.core import DetectorConfig, OnlineBagDetector
+from repro.core.config import SCORES, SIGNATURE_METHODS, WEIGHTINGS
+from repro.emd.ground_distance import GROUND_DISTANCES
+from repro.emd.registry import PARALLEL_BACKENDS, POISON_POLICIES
+from repro.service import BACKPRESSURE_POLICIES, STREAM_ERROR_POLICIES, SupervisorPolicy
+
+#: The DetectorConfig fields the CLI deliberately does not expose.
+OPTED_OUT = {"histogram_range", "estimator", "emd_backend"}
+#: The fields whose flag is not --<field-name>.
+RENAMED = {
+    "signature_method": "--signature",
+    "n_clusters": "--clusters",
+    "parallel_backend": "--parallel",
+    "n_workers": "--workers",
+    "shard_retries": "--retries",
+    "n_bootstrap": "--bootstrap",
+    "random_state": "--seed",
+}
+#: The registry each choice field's flag must offer.
+REGISTRIES = {
+    "score": SCORES,
+    "signature_method": SIGNATURE_METHODS,
+    "weighting": WEIGHTINGS,
+    "ground_distance": GROUND_DISTANCES,
+    "parallel_backend": PARALLEL_BACKENDS,
+    "on_poison_pair": POISON_POLICIES,
+    "on_stream_error": STREAM_ERROR_POLICIES,
+    "backpressure": BACKPRESSURE_POLICIES,
+}
+
+
+def cli_fields(cls):
+    return [spec for spec in dataclasses.fields(cls) if spec.metadata.get("cli") is not False]
+
+
+def assert_flag_matches_field(parser, spec):
+    (action,) = [a for a in parser._actions if a.dest == spec.name]
+    assert action.option_strings == [RENAMED.get(spec.name, "--" + spec.name.replace("_", "-"))]
+    assert action.default == spec.default
+    assert action.choices == REGISTRIES.get(spec.name)
 
 
 @pytest.fixture
@@ -47,6 +96,9 @@ class TestParser:
             ["--emd-backend", "auto"],
             ["--parallel", "thread"],
             ["shard-build", "--mode", "thread"],
+            ["shard-build", "--mode", "serial"],
+            ["shard-build", "--checkpoint-dir", "ckpt"],
+            ["shard-build", "--output", "band.npz"],
         ],
         ids=[
             "removed-backend",
@@ -54,6 +106,9 @@ class TestParser:
             "removed-emd-backend-flag",
             "removed-thread-pool",
             "removed-thread-shard-mode",
+            "removed-shard-mode",
+            "removed-shard-checkpoint-dir",
+            "removed-shard-output",
         ],
     )
     def test_removed_options_are_rejected(self, tmp_path, flags):
@@ -69,7 +124,82 @@ class TestParser:
         )
         assert args.tau == 3
         assert args.score == "lr"
-        assert args.seed == 7
+        assert args.random_state == 7  # dest is the DetectorConfig field
+
+
+class TestConfigFlags:
+    """Every config field reaches the CLI with its own default and choices."""
+
+    def test_opt_out_set(self):
+        exposed = {spec.name for spec in cli_fields(DetectorConfig)}
+        all_fields = {spec.name for spec in dataclasses.fields(DetectorConfig)}
+        assert all_fields - exposed == OPTED_OUT
+        dests = {action.dest for action in build_parser()._actions}
+        assert not dests & OPTED_OUT
+        assert {spec.name for spec in cli_fields(SupervisorPolicy)} == {
+            spec.name for spec in dataclasses.fields(SupervisorPolicy)
+        }
+
+    @pytest.mark.parametrize(
+        "spec", cli_fields(DetectorConfig), ids=lambda spec: spec.name
+    )
+    def test_detect_flag_matches_field(self, spec):
+        assert_flag_matches_field(build_parser(), spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(spec, id=f"{cls.__name__}.{spec.name}")
+            for cls in (DetectorConfig, SupervisorPolicy)
+            for spec in cli_fields(cls)
+            if spec.name not in SHARD_FIELDS
+        ],
+    )
+    def test_serve_flag_matches_field(self, spec):
+        assert_flag_matches_field(build_serve_parser(), spec)
+
+    def test_serve_has_no_shard_flags(self):
+        dests = {action.dest for action in build_serve_parser()._actions}
+        assert not dests & set(SHARD_FIELDS)
+
+    def test_shard_build_takes_the_band_flags(self):
+        parser = build_shard_parser()
+        dests = {action.dest for action in parser._actions}
+        assert dests == {"help", "input", "time_column", *BAND_FIELDS}
+        for spec in cli_fields(DetectorConfig):
+            if spec.name in BAND_FIELDS and spec.name not in ("n_shards", "parallel_backend"):
+                assert_flag_matches_field(parser, spec)
+
+    def test_custom_values_reach_the_config(self, tmp_path):
+        args = build_parser().parse_args(
+            [str(tmp_path / "x.npz"), "--clusters", "3", "--retries", "5",
+             "--parallel", "process", "--workers", "2", "--bootstrap", "30",
+             "--seed", "9", "--signature", "histogram",
+             "--shard-checkpoint-dir", str(tmp_path / "ckpt")]
+        )
+        config = config_from_args(DetectorConfig, args)
+        assert config == DetectorConfig(
+            n_clusters=3, shard_retries=5, parallel_backend="process", n_workers=2,
+            n_bootstrap=30, random_state=9, signature_method="histogram",
+            shard_checkpoint_dir=tmp_path / "ckpt",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--tau", "1"], "tau must be at least 2"),
+            (["serve-replay", "--alpha", "2"], "alpha must lie strictly between"),
+            (["shard-build", "--retries", "-1"], "shard_retries must be a non-negative"),
+        ],
+        ids=["detect-tau", "serve-alpha", "shard-retries"],
+    )
+    def test_invalid_value_is_a_usage_error(self, npz_stream, capsys, argv, message):
+        subcommand = argv[:1] if not argv[0].startswith("--") else []
+        with pytest.raises(SystemExit) as excinfo:
+            main([*subcommand, str(npz_stream), *argv[len(subcommand):]])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 class TestMain:
@@ -132,44 +262,76 @@ class TestMain:
         assert capsys.readouterr().out == plain
 
 
+BAND_ARGS = ["--tau", "3", "--tau-test", "3", "--signature", "exact", "--seed", "0"]
+
+
+def checkpoint_mtimes(directory):
+    return {path.name: path.stat().st_mtime_ns for path in directory.glob("shard_*.npz")}
+
+
 class TestShardBuild:
     def test_parser_defaults(self, tmp_path):
         args = build_shard_parser().parse_args([str(tmp_path / "x.npz")])
         assert args.n_shards == 4
-        assert args.mode == "process"
-        assert args.checkpoint_dir is None
+        assert args.parallel_backend == "process"
+        assert args.shard_checkpoint_dir is None
 
-    def test_build_writes_band_and_resumes(self, npz_stream, tmp_path, capsys):
-        out_path = tmp_path / "band.npz"
-        argv = ["shard-build", str(npz_stream), "--tau", "3", "--tau-test", "3",
-                "--signature", "exact", "--n-shards", "3", "--mode", "serial",
-                "--checkpoint-dir", str(tmp_path / "ckpt"), "--seed", "0",
-                "--output", str(out_path)]
+    def test_build_writes_checkpoints_and_resumes(self, npz_stream, tmp_path, capsys):
+        argv = ["shard-build", str(npz_stream), *BAND_ARGS, "--n-shards", "3",
+                "--parallel", "serial", "--shard-checkpoint-dir", str(tmp_path / "ckpt")]
         assert main(argv) == 0
-        archive = np.load(out_path)
-        assert archive["band"].shape == (12, 5)
-        assert int(archive["bandwidth"]) == 6
-        assert len(list((tmp_path / "ckpt").glob("shard_*.npz"))) == 3
-        capsys.readouterr()
+        assert "computed 3, resumed 0" in capsys.readouterr().err
+        assert len(checkpoint_mtimes(tmp_path / "ckpt")) == 3
         # Second run resumes every shard from the checkpoints.
-        assert main(argv[:-2]) == 0
-        assert "resumed 3" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert "computed 0, resumed 3" in capsys.readouterr().err
 
-    def test_band_matches_detector_build(self, npz_stream, tmp_path):
-        out_path = tmp_path / "band.npz"
-        assert main(
-            ["shard-build", str(npz_stream), "--tau", "3", "--tau-test", "3",
-             "--signature", "exact", "--n-shards", "2", "--mode", "serial",
-             "--seed", "0", "--output", str(out_path)]
-        ) == 0
-        from repro import BagChangePointDetector
-        from repro.core import DetectorConfig
+    def test_detect_resumes_shard_build_checkpoints(self, npz_stream, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        assert main(["shard-build", str(npz_stream), *BAND_ARGS, "--n-shards", "3",
+                     "--shard-checkpoint-dir", str(ckpt)]) == 0
+        written = checkpoint_mtimes(ckpt)
+        assert len(written) == 3
+        detect = [str(npz_stream), *BAND_ARGS, "--bootstrap", "40"]
+        assert main(detect) == 0
+        plain = capsys.readouterr().out
+        assert main([*detect, "--n-shards", "3", "--shard-checkpoint-dir", str(ckpt)]) == 0
+        assert capsys.readouterr().out == plain
+        assert checkpoint_mtimes(ckpt) == written  # no shard recomputed
 
-        archive = np.load(npz_stream)
-        bags = [np.asarray(archive[name], dtype=float) for name in sorted(archive.files)]
-        config = DetectorConfig(tau=3, tau_test=3, signature_method="exact", random_state=0)
-        detector = BagChangePointDetector(config)
-        signatures = detector.build_signatures(bags)
-        reference = detector._engine.banded_matrix(signatures, config.window_span)
-        band = np.load(out_path)["band"]
-        assert np.nanmax(np.abs(band - reference.band)) <= 1e-12
+    def test_checkpoints_of_other_data_are_not_resumed(self, npz_stream, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        other = tmp_path / "other.npz"
+        rng = np.random.default_rng(3)
+        np.savez(other, **{f"bag_{i:03d}": rng.normal(i % 2, 1, size=(25, 2))
+                           for i in range(12)})
+        assert main(["shard-build", str(other), *BAND_ARGS, "--n-shards", "3",
+                     "--parallel", "serial", "--shard-checkpoint-dir", str(ckpt)]) == 0
+        detect = [str(npz_stream), *BAND_ARGS, "--bootstrap", "40"]
+        assert main(detect) == 0
+        plain = capsys.readouterr().out
+        with pytest.warns(RuntimeWarning, match="input data"):
+            assert main([*detect, "--n-shards", "3", "--shard-checkpoint-dir", str(ckpt)]) == 0
+        assert capsys.readouterr().out == plain
+
+
+class TestServeReplay:
+    def test_streams_are_seeded_per_stream(self, npz_stream, capsys):
+        assert main(["serve-replay", str(npz_stream), "--tau", "2", "--tau-test", "2",
+                     "--signature", "exact", "--bootstrap", "30", "--seed", "4"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert rows[0] == "stream,time,score,lower,upper,gamma,alert"
+        with np.load(npz_stream) as archive:
+            bags = [archive[name] for name in sorted(archive.files)]
+        for index in range(2):
+            config = DetectorConfig(tau=2, tau_test=2, signature_method="exact",
+                                    n_bootstrap=30, random_state=4 + index)
+            with OnlineBagDetector(config) as detector:
+                points = detector.push_many(bags[index::2])
+            emitted = [row.split(",")[1:] for row in rows[1:]
+                       if row.startswith(f"stream-{index:02d},")]
+            assert emitted == [
+                [str(p.time), str(p.score), str(p.interval.lower), str(p.interval.upper),
+                 str(p.gamma), str(p.alert)]
+                for p in points
+            ]

@@ -31,6 +31,7 @@ from repro.emd.orchestrator import (
 from repro.emd.sharding import (
     EngineSettings,
     ShardPlan,
+    band_fingerprint,
     checkpoint_path,
     save_shard_checkpoint,
 )
@@ -407,7 +408,7 @@ class TestPoisonPairs:
             with inject_poison_pairs([pair], fail_singleton=True, fail_exact=True):
                 orchestrator.run(signatures)
         loaded = QuarantineManifest.load(
-            tmp_path, plan.plan_hash(), EngineSettings().fingerprint()
+            tmp_path, plan.plan_hash(), band_fingerprint(EngineSettings(), signatures)
         )
         assert loaded is not None and loaded.pair_set() == frozenset({pair})
         # A resume of the (now checkpointed, masked) build reconstructs
@@ -473,6 +474,20 @@ class TestCheckpointValidation:
         assert stale.n_shards_resumed == 0
         assert any("engine configuration" in str(w.message) for w in caught)
         assert_band_parity(band, reference_band(signatures, 6, "manhattan"))
+
+    def test_checkpoints_of_other_input_data_are_requeued(self, tmp_path):
+        # Same plan and engine settings, different signatures: the stamp
+        # covers the input data, so nothing of the old run is resumed.
+        _, plan = self.build_checkpoints(tmp_path)
+        other = histogram_signatures(plan.n, seed=99)
+        orchestrator, _ = make_orchestrator(plan, checkpoint_dir=tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            band = orchestrator.run(other)
+        assert orchestrator.n_checkpoints_requeued == plan.n_shards
+        assert orchestrator.n_shards_resumed == 0
+        assert any("input data" in str(w.message) for w in caught)
+        assert_band_parity(band, reference_band(other, 6))
 
 
 # ---------------------------------------------------------------------- #

@@ -31,12 +31,14 @@ from repro.emd.registry import (
 )
 from tools.reprolint import all_rules, lint_paths, lint_source
 from tools.reprolint.cli import main as reprolint_main
-from tools.reprolint.project import CONFIG_INTERNAL_FIELDS, DEFAULT_REGISTRY
+from tools.reprolint.project import DEFAULT_REGISTRY
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "tests" / "reprolint_fixtures"
 
-RULE_CODES = ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008")
+# RL005 (config-plumbing) is retired: the CLI generates its config flags
+# from the DetectorConfig field metadata (see tests/test_cli.py).
+RULE_CODES = ("RL001", "RL002", "RL003", "RL004", "RL006", "RL007", "RL008")
 
 
 def lint_fixture(name: str):
@@ -97,12 +99,6 @@ def test_rl004_requires_context_or_formatted_message():
     assert all(v.code == "RL004" for v in report.violations)
 
 
-def test_rl005_reports_the_unreachable_field():
-    report = lint_fixture("rl005_bad.py")
-    assert len(report.violations) == 1
-    assert "weighting" in report.violations[0].message
-
-
 def test_rl006_catches_each_breakage_mode():
     report = lint_fixture("rl006_bad.py")
     messages = " | ".join(v.message for v in report.violations)
@@ -133,14 +129,6 @@ def test_rl008_catches_each_breakage_mode():
     assert "cutoff" in messages                          # drifted function docstring
     assert "tail" in messages                            # drifted __init__ docstring
     assert "tau_ref" in messages                         # drifted dataclass docstring
-
-
-def test_rl005_internal_allowlist_is_documented():
-    # The allow-list must stay small and deliberate; growing it should be
-    # a conscious edit to this test as well.
-    assert CONFIG_INTERNAL_FIELDS == frozenset(
-        {"histogram_range", "estimator", "emd_backend"}
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -191,6 +179,7 @@ def test_cli_select(capsys):
     out = capsys.readouterr().out
     for code in RULE_CODES:
         assert code in out
+    assert "RL005" not in out
 
 
 # --------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ from repro.emd import (
     RetryPolicy,
     ShardOrchestrator,
     ShardPlan,
+    band_fingerprint,
     band_pair_indices,
     load_shard_checkpoint,
     merge_shards,
@@ -292,7 +293,8 @@ class TestCheckpoints:
             for shard_id in (0, 2):
                 values = _compute_shard_values(engine, by_row, plan, shard_id)
                 save_shard_checkpoint(
-                    tmp_path / "ckpt", plan, shard_id, values, settings.fingerprint()
+                    tmp_path / "ckpt", plan, shard_id, values,
+                    band_fingerprint(settings, signatures),
                 )
         resumed = serial_orchestrator(plan, checkpoint_dir=tmp_path / "ckpt")
         merged = resumed.run(signatures)
@@ -327,14 +329,14 @@ class TestCheckpoints:
             )
 
     def test_previous_format_version_rejected(self, tmp_path):
-        # v3 checkpoints hashed the solver name into their fingerprint.
+        # v4 checkpoints were stamped without the input data.
         plan = ShardPlan.build(20, 6, 4)
         fingerprint = EngineSettings().fingerprint()
         path = save_shard_checkpoint(
             tmp_path, plan, 0, np.zeros(plan.shard(0).n_pairs), fingerprint
         )
-        restamp_format_version(path, 3)
-        with pytest.raises(CheckpointError, match="format version 3, expected 4"):
+        restamp_format_version(path, 4)
+        with pytest.raises(CheckpointError, match="format version 4, expected 5"):
             load_shard_checkpoint(tmp_path, plan, 0, fingerprint)
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):

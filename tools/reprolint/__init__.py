@@ -23,10 +23,11 @@ RL003     pool-safety           Callables submitted to executors must be
 RL004     exception-context     ``SolverError``/``CheckpointError`` raises carry
                                 context (PRs 4–5): pair/shard kwargs or a
                                 formatted message naming the failing problem.
-RL005     config-plumbing       Every ``DetectorConfig`` field is reachable from
-                                the CLI or explicitly allow-listed as internal
-                                (PR 5 plumbed the solver knobs end to end).
 ========  ====================  ==================================================
+
+RL006–RL008 are listed in ``docs/static-analysis.md``.  RL005
+(config-plumbing) is retired, not renumbered: the CLI generates its flags
+from the ``DetectorConfig`` field metadata, so no field can be stranded.
 
 Use as a library (``lint_paths``/``lint_source``) or as a CLI
 (``python -m tools.reprolint src/`` or the ``reprolint`` console script).

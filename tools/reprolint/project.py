@@ -88,25 +88,6 @@ SOLVER_CALL_NAMES: Final[FrozenSet[str]] = frozenset(
     }
 )
 
-#: The detector configuration dataclass whose fields must be reachable
-#: from the CLI.
-CONFIG_CLASS: Final[str] = "DetectorConfig"
-
-#: ``DetectorConfig`` fields deliberately *not* exposed on the CLI.
-#:
-#: - ``histogram_range``: a per-dimension (min, max) sequence; no flat
-#:   flag syntax represents it faithfully, and library callers who need
-#:   a fixed range construct the config directly.
-#: - ``estimator``: a nested ``EstimatorConfig`` of information-estimator
-#:   constants from the paper; tuning them is a library-level operation,
-#:   not a CLI switch.
-#: - ``emd_backend``: it has one meaning (the engine's one exact route;
-#:   ``"linprog_batch"`` is stored as ``"auto"``), so the CLI treats it
-#:   as a constant; per-pair solvers are ``repro.emd.emd`` oracles.
-CONFIG_INTERNAL_FIELDS: Final[FrozenSet[str]] = frozenset(
-    {"histogram_range", "estimator", "emd_backend"}
-)
-
 #: Identifier fragments that mark a function as handling persisted
 #: detector state (snapshot-discipline, RL007).  An ``np.load`` whose
 #: enclosing function name — or whose argument expressions — mention one

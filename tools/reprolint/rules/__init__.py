@@ -1,6 +1,5 @@
 """The built-in reprolint rules, one module per project invariant."""
 
-from .config_plumbing import ConfigPlumbingRule
 from .docstring_discipline import DocstringDisciplineRule
 from .exception_context import ExceptionContextRule
 from .pool_safety import PoolSafetyRule
@@ -15,7 +14,6 @@ RULES = (
     RngDisciplineRule,
     PoolSafetyRule,
     ExceptionContextRule,
-    ConfigPlumbingRule,
     RetryDisciplineRule,
     SnapshotDisciplineRule,
     DocstringDisciplineRule,
@@ -27,7 +25,6 @@ __all__ = [
     "RngDisciplineRule",
     "PoolSafetyRule",
     "ExceptionContextRule",
-    "ConfigPlumbingRule",
     "RetryDisciplineRule",
     "SnapshotDisciplineRule",
     "DocstringDisciplineRule",
