@@ -72,7 +72,10 @@ def _can_use_1d_fast_path(
         return False
     if ground_distance.lower() not in ("euclidean", "cityblock", "manhattan", "chebyshev"):
         return False
-    return bool(np.isclose(sig_a.total_weight, sig_b.total_weight, rtol=1e-9, atol=1e-12))
+    # np.isclose(a, b, rtol=1e-9, atol=1e-12) on the (finite) totals,
+    # without its per-call array overhead.
+    total_a, total_b = sig_a.total_weight, sig_b.total_weight
+    return abs(total_a - total_b) <= 1e-12 + 1e-9 * abs(total_b)
 
 
 def emd_with_flow(

@@ -22,7 +22,16 @@ matrix or each with its own — into a *single* sparse block-diagonal LP:
   variables per model, so moderate chunks are faster *and* smaller);
 * presolve is off by default — these models have no redundancy for it to
   remove, and on small transportation blocks presolve costs more than it
-  saves (a failed chunk is retried once with presolve on before raising).
+  saves (a failed chunk is retried once with presolve on before raising);
+* each chunk goes to HiGHS directly through the bindings scipy ships,
+  not through :func:`scipy.optimize.linprog`: the CSC arrays are built
+  straight from the known layout and the options are exactly those of
+  ``linprog(method="highs-ds")``, so HiGHS sees the identical model and
+  the flows are bit-identical to linprog's.  The wrapper's per-column
+  Python work (bound duals, option validation, sparse-format
+  conversions) cost more than the solve itself, and only the flows are
+  needed.  linprog's acceptance check on the result is kept: optimal
+  status, no NaN, bounds and row residuals within ``sqrt(1e-9) * 10``.
 
 A :class:`~repro.exceptions.SolverError` raised here carries the
 batch-local ``pair_indices`` of every pair stacked into the failing
@@ -32,11 +41,9 @@ chunk, so callers never lose track of which problems were in flight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .._validation import check_positive_int
 from ..exceptions import SolverError, ValidationError
@@ -155,40 +162,118 @@ class LinprogBatchResult:
         )
 
 
-def _block_diagonal_constraints(
-    n_pairs: int, m: int, n: int
-) -> Tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Sparse ``A_ub`` and ``A_eq`` for ``n_pairs`` stacked transportation blocks.
+#: linprog's acceptance tolerance for a HiGHS solution: its ``_check_result``
+#: widens the default ``tol=1e-9`` to ``sqrt(tol) * 10``.
+_ACCEPT_TOL = float(np.sqrt(1e-9) * 10)
 
-    Variables are the flows of all pairs concatenated, pair-major and
-    row-major within a pair: variable ``p * m * n + k * n + l`` is the
-    flow ``f_kl`` of pair ``p``.  Rows are the ``n_pairs * m`` supply
-    constraints, then the ``n_pairs * n`` demand constraints (``A_ub``),
-    and one total-flow equality row per pair (``A_eq``).
+
+class _HighsOutcome(NamedTuple):
+    """What the stacked solve reads back from one HiGHS run."""
+
+    optimal: bool
+    message: str
+    x: np.ndarray
+    row_value: np.ndarray
+    objective: float
+
+
+def _run_highs(
+    c: np.ndarray,
+    index: np.ndarray,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    *,
+    presolve: bool,
+) -> _HighsOutcome:
+    """Minimise ``c @ x`` s.t. ``row_lower <= A @ x <= row_upper``, ``x >= 0``.
+
+    ``A`` has exactly three unit entries per column, at rows
+    ``index[3 * j : 3 * j + 3]``.  The model and options are those
+    ``linprog(method="highs-ds")`` hands to HiGHS, so the solution is
+    bit-identical to linprog's; this is the one place that touches
+    scipy's private HiGHS bindings.
     """
-    mn = m * n
-    n_vars = n_pairs * mn
-    var_idx = np.arange(n_vars)
-    pair_of = var_idx // mn
-    row_of = (var_idx % mn) // n
-    col_of = var_idx % n
+    try:
+        from scipy.optimize._highspy import _core as highs
+    except ImportError as exc:
+        raise ImportError(
+            "repro.emd.linprog_batch needs scipy>=1.15, the first release "
+            "that ships the HiGHS bindings scipy.optimize._highspy._core"
+        ) from exc
 
-    supply_rows = pair_of * m + row_of
-    demand_rows = n_pairs * m + pair_of * n + col_of
-    a_ub = sparse.csr_matrix(
-        (
-            np.ones(2 * n_vars),
-            (
-                np.concatenate([supply_rows, demand_rows]),
-                np.concatenate([var_idx, var_idx]),
-            ),
-        ),
-        shape=(n_pairs * (m + n), n_vars),
+    n_cols, n_rows = c.size, row_upper.size
+    lp = highs.HighsLp()
+    lp.num_col_ = n_cols
+    lp.num_row_ = n_rows
+    # The bindings copy Python lists into HiGHS's vectors several times
+    # faster than NumPy arrays (col_cost_ takes the array as is).
+    lp.col_cost_ = c
+    lp.col_lower_ = [0.0] * n_cols
+    lp.col_upper_ = [highs.kHighsInf] * n_cols
+    lp.row_lower_ = row_lower.tolist()
+    lp.row_upper_ = row_upper.tolist()
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = n_cols
+    lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.start_ = list(range(0, index.size + 1, 3))
+    lp.a_matrix_.index_ = index.tolist()
+    lp.a_matrix_.value_ = [1.0] * index.size
+
+    options = highs.HighsOptions()
+    options.presolve = "on" if presolve else "off"
+    options.solver = "simplex"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+
+    solver = highs._Highs()
+    failed = highs.HighsStatus.kError
+    if (
+        solver.passOptions(options) == failed
+        or solver.passModel(lp) == failed
+        or solver.run() == failed
+        or solver.getModelStatus() != highs.HighsModelStatus.kOptimal
+    ):
+        status = solver.getModelStatus()
+        return _HighsOutcome(
+            optimal=False,
+            message=f"HiGHS model status {solver.modelStatusToString(status)}",
+            x=np.empty(0),
+            row_value=np.empty(0),
+            objective=float("nan"),
+        )
+    solution = solver.getSolution()
+    return _HighsOutcome(
+        optimal=True,
+        message="optimal",
+        x=np.array(solution.col_value),
+        row_value=np.array(solution.row_value),
+        objective=solver.getInfo().objective_function_value,
     )
-    a_eq = sparse.csr_matrix(
-        (np.ones(n_vars), (pair_of, var_idx)), shape=(n_pairs, n_vars)
-    )
-    return a_ub, a_eq
+
+
+def _rejection(outcome: _HighsOutcome, row_upper: np.ndarray, n_ub: int) -> Optional[str]:
+    """Why linprog's ``_check_result`` would reject ``outcome``, else ``None``.
+
+    Rows ``[:n_ub]`` are ``<=`` rows, the rest equalities; the variables'
+    bounds are ``[0, inf)``.
+    """
+    if not outcome.optimal:
+        return outcome.message
+    slack = row_upper - outcome.row_value
+    if np.isnan(outcome.x).any() or np.isnan(outcome.objective) or np.isnan(slack).any():
+        return "HiGHS reported optimal but returned NaN values"
+    if (
+        (outcome.x < -_ACCEPT_TOL).any()
+        or (slack[:n_ub] < -_ACCEPT_TOL).any()
+        or (np.abs(slack[n_ub:]) > _ACCEPT_TOL).any()
+    ):
+        return (
+            f"HiGHS reported optimal but the solution misses the constraints "
+            f"by more than {_ACCEPT_TOL:.2E}"
+        )
+    return None
 
 
 def _solve_chunk(
@@ -199,42 +284,47 @@ def _solve_chunk(
     *,
     presolve: bool,
 ) -> np.ndarray:
-    """Solve one stacked chunk, returning the ``(P_chunk, m, n)`` flows."""
+    """Solve one stacked chunk, returning the ``(P_chunk, m, n)`` flows.
+
+    Variables are the flows of all pairs concatenated, pair-major and
+    row-major within a pair: variable ``p * m * n + k * n + l`` is the
+    flow ``f_kl`` of pair ``p``.  Rows are the ``P_chunk * m`` supply
+    constraints, then the ``P_chunk * n`` demand constraints (``<=``),
+    then one total-flow equality per pair, so each column's three unit
+    entries are in ascending row order.
+    """
     n_chunk, m = supply.shape
     n = demand.shape[1]
     if cost.ndim == 2:
         c = np.tile(cost.ravel(), n_chunk)
     else:
         c = cost.reshape(n_chunk, -1).ravel()
-    a_ub, a_eq = _block_diagonal_constraints(n_chunk, m, n)
-    b_ub = np.concatenate([supply.ravel(), demand.ravel()])
-    b_eq = np.minimum(supply.sum(axis=1), demand.sum(axis=1))
+    pair, row, col = np.ogrid[:n_chunk, :m, :n]
+    index = np.empty((n_chunk, m, n, 3), dtype=np.int32)
+    index[..., 0] = pair * m + row
+    index[..., 1] = n_chunk * m + pair * n + col
+    index[..., 2] = n_chunk * (m + n) + pair
+    total = np.minimum(supply.sum(axis=1), demand.sum(axis=1))
+    n_ub = n_chunk * (m + n)
+    row_upper = np.concatenate([supply.ravel(), demand.ravel(), total])
+    row_lower = np.concatenate([np.full(n_ub, -np.inf), total])
 
     # Presolve is skipped for speed, not correctness; a failed chunk gets
     # one retry with HiGHS's full machinery before being declared
     # unsolvable (dict.fromkeys dedups when presolve was already on).
     for presolve_setting in dict.fromkeys((presolve, True)):
-        result = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0, None),
-            method="highs-ds",
-            options={"presolve": presolve_setting},
-        )
-        if result.success:
+        outcome = _run_highs(c, index.ravel(), row_lower, row_upper, presolve=presolve_setting)
+        reason = _rejection(outcome, row_upper, n_ub)
+        if reason is None:
             break
-    if not result.success:
+    if reason is not None:
         indices = [int(i) for i in pair_indices]
         raise SolverError(
-            f"linprog failed to solve a block-diagonal EMD LP over "
-            f"{n_chunk} stacked pairs (batch indices {indices}): "
-            f"{result.message}",
+            f"HiGHS failed to solve a block-diagonal EMD LP over "
+            f"{n_chunk} stacked pairs (batch indices {indices}): {reason}",
             pair_indices=indices,
         )
-    return np.clip(np.asarray(result.x, dtype=float).reshape(n_chunk, m, n), 0.0, None)
+    return np.clip(outcome.x.reshape(n_chunk, m, n), 0.0, None)
 
 
 def solve_emd_linprog_batch(

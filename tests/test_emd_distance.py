@@ -163,6 +163,21 @@ class TestEmd:
             emd(a, b, backend="linprog"), rel=1e-8
         )
 
+    @pytest.mark.parametrize("total_b", [1.0, 3.7, 1e-3, 1e-13, 250.0])
+    def test_1d_eligibility_matches_np_isclose_on_totals(self, total_b):
+        from repro.emd.distance import _can_use_1d_fast_path
+
+        # Offsets straddling atol + rtol * |b| on both sides of total_b.
+        bound = 1e-12 + 1e-9 * total_b
+        b = sig([[0.0]], [total_b])
+        for factor in (0.0, 0.5, 0.999, 1.001, 2.0, -0.5, -0.999, -1.001):
+            total_a = total_b + factor * bound
+            if total_a <= 0:  # signatures need positive mass
+                continue
+            a = sig([[1.0]], [total_a])
+            expected = bool(np.isclose(total_a, total_b, rtol=1e-9, atol=1e-12))
+            assert _can_use_1d_fast_path(a, b, "euclidean") is expected
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             emd(sig([[0.0]], [1.0]), sig([[0.0, 0.0]], [1.0]))

@@ -37,6 +37,10 @@ from repro.signatures import Signature
 #: Maximum disagreement tolerated between any two exact solve paths.
 PARITY_TOL = 1e-9
 
+#: The constraint tolerance ``scipy.optimize.linprog`` accepts a HiGHS
+#: solution within: ``sqrt(tol) * 10`` at its default ``tol=1e-9``.
+LINPROG_ACCEPT_TOL = np.sqrt(1e-9) * 10
+
 
 def _grid(side, dim):
     axes = np.meshgrid(*[np.arange(float(side))] * dim)
@@ -311,35 +315,149 @@ class TestBatchedGroupErrorContext:
             engine.compute_pairs(pairs)
         assert excinfo.value.pair_indices == (0, 1, 2)
 
-    def test_failed_lp_chunk_reports_batch_local_indices(self, monkeypatch):
+    @pytest.mark.parametrize("fault", ["not-optimal", "supply-exceeded", "nan-flow"])
+    def test_failed_lp_chunk_reports_batch_local_indices(self, monkeypatch, fault):
+        # The first chunk solves; every HiGHS run after it returns a
+        # result that is either not optimal or fails linprog's acceptance
+        # check, so the second chunk is retried with presolve and then
+        # reported by its batch-local pair index 1, not 0.
         from repro.emd import linprog_batch as linprog_batch_module
 
-        real_linprog = linprog_batch_module.linprog
-        calls = {"count": 0}
+        real_run_highs = linprog_batch_module._run_highs
+        presolve_calls = []
 
-        def flaky_linprog(*args, **kwargs):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                return real_linprog(*args, **kwargs)
+        def faulty_run_highs(c, index, row_lower, row_upper, *, presolve):
+            presolve_calls.append(presolve)
+            outcome = real_run_highs(c, index, row_lower, row_upper, presolve=presolve)
+            if len(presolve_calls) == 1:
+                return outcome
+            if fault == "not-optimal":
+                return outcome._replace(optimal=False, message="synthetic HiGHS failure")
+            if fault == "supply-exceeded":
+                row_value = outcome.row_value.copy()
+                row_value[0] = row_upper[0] + 2 * LINPROG_ACCEPT_TOL
+                return outcome._replace(row_value=row_value)
+            x = outcome.x.copy()
+            x[0] = np.nan
+            return outcome._replace(x=x)
 
-            class Failed:
-                success = False
-                message = "synthetic HiGHS failure"
-
-            return Failed()
-
-        monkeypatch.setattr(linprog_batch_module, "linprog", flaky_linprog)
+        monkeypatch.setattr(linprog_batch_module, "_run_highs", faulty_run_highs)
         rng = np.random.default_rng(2)
         grid = _grid(3, 1)
         cost = cross_distance_matrix(grid, grid, "euclidean")
         supply = rng.uniform(0.5, 2.0, size=(3, 3))
         demand = rng.uniform(0.5, 2.0, size=(3, 3))
-        # One pair per chunk: the first chunk solves, the second fails
-        # (and its presolve retry fails too) -> pair index 1, not 0.
+        # One pair per chunk.
         with pytest.raises(SolverError) as excinfo:
             solve_emd_linprog_batch(cost, supply, demand, max_batch_variables=9)
+        assert presolve_calls == [False, False, True]
         assert excinfo.value.pair_indices == (1,)
-        assert "synthetic HiGHS failure" in str(excinfo.value)
+        expected = {
+            "not-optimal": "synthetic HiGHS failure",
+            "supply-exceeded": "misses the constraints",
+            "nan-flow": "NaN",
+        }[fault]
+        assert expected in str(excinfo.value)
+
+    def test_row_residual_within_linprog_tolerance_is_accepted(self, monkeypatch):
+        from repro.emd import linprog_batch as linprog_batch_module
+
+        real_run_highs = linprog_batch_module._run_highs
+
+        def sloppy_run_highs(c, index, row_lower, row_upper, *, presolve):
+            outcome = real_run_highs(c, index, row_lower, row_upper, presolve=presolve)
+            row_value = outcome.row_value.copy()
+            row_value[0] = row_upper[0] + 0.5 * LINPROG_ACCEPT_TOL
+            return outcome._replace(row_value=row_value)
+
+        monkeypatch.setattr(linprog_batch_module, "_run_highs", sloppy_run_highs)
+        supply = np.array([[1.0, 2.0]])
+        result = solve_emd_linprog_batch(np.ones((2, 2)), supply, supply)
+        assert result.distances[0] == pytest.approx(1.0)
+
+
+class TestStackedModelMatchesLinprog:
+    """Each stacked chunk's flows equal public ``linprog``'s bit for bit.
+
+    The chunk's model is rebuilt here with scipy.sparse and solved by
+    ``scipy.optimize.linprog(method="highs-ds", options={"presolve": False})``,
+    the call the stacked solve replaces.
+    """
+
+    @staticmethod
+    def _linprog_chunk_flows(cost, supply, demand):
+        from scipy import sparse
+        from scipy.optimize import linprog
+
+        n_pairs, m = supply.shape
+        n = demand.shape[1]
+        n_vars = n_pairs * m * n
+        var = np.arange(n_vars)
+        pair, row, col = var // (m * n), (var % (m * n)) // n, var % n
+        ub_rows = np.concatenate([pair * m + row, n_pairs * m + pair * n + col])
+        a_ub = sparse.csr_matrix(
+            (np.ones(2 * n_vars), (ub_rows, np.concatenate([var, var]))),
+            shape=(n_pairs * (m + n), n_vars),
+        )
+        a_eq = sparse.csr_matrix((np.ones(n_vars), (pair, var)), shape=(n_pairs, n_vars))
+        c = np.tile(cost.ravel(), n_pairs) if cost.ndim == 2 else cost.ravel()
+        result = linprog(
+            c,
+            A_ub=a_ub,
+            b_ub=np.concatenate([supply.ravel(), demand.ravel()]),
+            A_eq=a_eq,
+            b_eq=np.minimum(supply.sum(axis=1), demand.sum(axis=1)),
+            bounds=(0, None),
+            method="highs-ds",
+            options={"presolve": False},
+        )
+        assert result.success, result.message
+        return np.clip(result.x.reshape(n_pairs, m, n), 0.0, None)
+
+    @pytest.mark.parametrize("shared_cost", [True, False], ids=["shared", "per-pair"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("m,n", [(4, 4), (3, 5)])
+    def test_chunk_flows_bit_identical_to_linprog(self, shared_cost, dim, m, n):
+        from repro.emd.linprog_batch import chunk_slices
+
+        rng = np.random.default_rng(100 * dim + 10 * m + n)
+        n_pairs = 14
+        if shared_cost:
+            cost = cross_distance_matrix(
+                rng.normal(size=(m, dim)), rng.normal(size=(n, dim)), "euclidean"
+            )
+        else:
+            cost = np.stack([
+                cross_distance_matrix(
+                    rng.normal(size=(m, dim)), rng.normal(size=(n, dim)), "euclidean"
+                )
+                for _ in range(n_pairs)
+            ])
+        supply = rng.uniform(0.5, 3.0, size=(n_pairs, m))
+        demand = rng.uniform(0.5, 3.0, size=(n_pairs, n))
+        supply[rng.random(supply.shape) < 0.25] = 0.0  # zero-weight atoms
+        demand[rng.random(demand.shape) < 0.25] = 0.0
+        supply[3] *= 5.0  # unequal masses
+        demand[8] *= 0.2
+        supply[5] = 0.0  # zero-mass rows
+        demand[11] = 0.0
+        max_vars = 4 * m * n  # several chunks
+
+        result = solve_emd_linprog_batch(
+            cost, supply, demand, return_flows=True, max_batch_variables=max_vars
+        )
+
+        solvable = np.flatnonzero(np.minimum(supply.sum(axis=1), demand.sum(axis=1)) > 0)
+        assert {5, 11}.isdisjoint(solvable)
+        pieces = list(chunk_slices(solvable.size, m, n, max_vars))
+        assert len(pieces) >= 3
+        for piece in pieces:
+            members = solvable[piece]
+            expected = self._linprog_chunk_flows(
+                cost if shared_cost else cost[members], supply[members], demand[members]
+            )
+            assert np.array_equal(result.flows[members], expected)
+        assert not result.flows[[5, 11]].any()
 
 
 class TestBatchValidation:
