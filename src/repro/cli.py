@@ -54,6 +54,7 @@ import argparse
 import csv
 import sys
 import time
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, Collection, List, Optional, Sequence, get_args, get_type_hints
@@ -144,12 +145,17 @@ def _parse_config(parser: argparse.ArgumentParser, cls: Any, args: argparse.Name
         parser.error(str(exc))
 
 
-def _load_npz(path: Path) -> List[np.ndarray]:
-    with np.load(path) as archive:
-        names = sorted(archive.files)
-        if not names:
-            raise ValidationError(f"{path} contains no arrays")
-        return [np.asarray(archive[name], dtype=float) for name in names]
+def _load_npz(parser: argparse.ArgumentParser, path: Path) -> List[np.ndarray]:
+    try:
+        # Opened here so an unreadable archive cannot leak the handle.
+        with open(path, "rb") as handle, np.load(handle) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+        # TypeError: a bare .npy under an .npz name loads as an array.
+        parser.error(f"input file {path} is not a readable .npz archive: {exc}")
+    if not arrays:
+        raise ValidationError(f"{path} contains no arrays")
+    return [np.asarray(arrays[name], dtype=float) for name in sorted(arrays)]
 
 
 def _load_csv(path: Path, time_column: str) -> List[np.ndarray]:
@@ -297,7 +303,7 @@ def _load_bags(
     if not path.exists():
         parser.error(f"input file {path} does not exist")
     if path.suffix.lower() == ".npz":
-        return _load_npz(path)
+        return _load_npz(parser, path)
     if path.suffix.lower() == ".csv":
         return _load_csv(path, time_column)
     parser.error("input must be a .npz or .csv file")

@@ -27,6 +27,19 @@ GROUND_DISTANCES = ("euclidean", "sqeuclidean", "cityblock", "manhattan", "cheby
 _NAMED = GROUND_DISTANCES
 
 
+def ground_distance_identity(metric: GroundDistance) -> str:
+    """The identity of a ground distance inside a fingerprint.
+
+    A callable is identified by its qualified name, the best available
+    identity: renaming it, or a lambda with the same name but another
+    body, is on the caller.
+    """
+    if isinstance(metric, str):
+        return metric
+    module = getattr(metric, "__module__", "?")
+    return f"callable:{module}.{getattr(metric, '__qualname__', repr(metric))}"
+
+
 def euclidean_cross_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances between rows of ``a`` and rows of ``b``.
 

@@ -27,9 +27,9 @@ same shard layer through a work queue that survives those faults:
   refused (:class:`~repro.exceptions.PoisonPairError` with the manifest
   attached) or returned with a warning;
 * **checkpoint validation before merge** — existing checkpoints are
-  validated (plan hash + engine/data fingerprint + payload checksum) and
-  corrupt or stale files are deleted and re-queued instead of aborting
-  the resume.
+  validated (plan hash + shard id + engine/data fingerprint + payload
+  checksum) and corrupt or stale files are deleted and re-queued
+  instead of aborting the resume.
 
 Determinism: every shard's distances are computed by the same
 :class:`~repro.emd.sharding.EngineSettings` recipe regardless of which
@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
 import time
 import warnings
 from collections import deque
@@ -67,6 +66,7 @@ from typing import (
 
 import numpy as np
 
+from .._artifacts import write_atomic
 from .._validation import check_positive_int
 from ..exceptions import (
     CheckpointError,
@@ -293,24 +293,11 @@ class QuarantineManifest:
 
     def save(self, directory: Union[str, Path]) -> Path:
         """Atomically write the manifest into a checkpoint directory."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / QUARANTINE_FILENAME
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".quarantine.", suffix=".tmp.json", dir=directory
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return write_atomic(
+            Path(directory) / QUARANTINE_FILENAME,
+            lambda handle: handle.write(text.encode("utf-8")),
         )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
 
     @classmethod
     def load(
@@ -672,7 +659,8 @@ class ShardOrchestrator:
         When set, finished shards are checkpointed, existing checkpoints
         are validated and resumed (corrupt or stale files are deleted
         and re-queued, not fatal), and the quarantine manifest is
-        persisted as ``quarantine.json``.
+        persisted as ``quarantine.json`` after every run, empty
+        included.
     clock, sleep:
         Injectable time sources (``time.monotonic``/``time.sleep`` by
         default) so the fault-injection tests drive timeouts and
@@ -781,9 +769,10 @@ class ShardOrchestrator:
                 backend.close()
         manifest = self._reconcile_quarantine(values, manifest)
         self.quarantine = manifest
+        if self.checkpoint_dir is not None:
+            # Written empty too: it replaces a previous run's record.
+            manifest.save(self.checkpoint_dir)
         if len(manifest):
-            if self.checkpoint_dir is not None:
-                manifest.save(self.checkpoint_dir)
             if self.policy.on_poison_pair == "strict":
                 raise PoisonPairError(
                     f"{len(manifest)} band pair(s) exhausted the poison-pair "

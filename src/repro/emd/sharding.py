@@ -17,11 +17,12 @@ single-process build.  Three pieces:
   *halo* of up to ``bandwidth − 1`` signature rows beyond its range
   (read-only — halo pairs are owned by the next shard).
 * shard checkpoints — :func:`save_shard_checkpoint` writes one
-  finished shard as an ``.npz`` stamped with the plan hash and a
-  :func:`band_fingerprint` of the engine configuration and the input
-  signatures; :func:`load_shard_checkpoint` refuses
-  (:class:`~repro.exceptions.CheckpointError`) a file produced under a
-  different plan, solver configuration or input data.
+  finished shard in the stamped format of :mod:`repro._artifacts`, with
+  the plan hash, the shard id and a :func:`band_fingerprint` of the
+  engine configuration and the input signatures as identity stamps;
+  :func:`load_shard_checkpoint` refuses
+  (:class:`~repro.exceptions.CheckpointError`) a corrupt file or one
+  written for another plan, shard, solver configuration or input data.
 * :func:`merge_shards` — reassembles per-shard value vectors into the
   banded matrix.  The engine routes each pair independently of how
   pairs are batched, so the merged band equals the single-process build
@@ -35,17 +36,15 @@ below are its building blocks.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._artifacts import Stamp, load_stamped, save_stamped
 from .._validation import check_positive_int
-from ..exceptions import CheckpointError, SolverError, ValidationError
+from ..exceptions import SolverError, ValidationError
 from ..signatures import Signature
 from .batch import (
     BandedDistanceMatrix,
@@ -53,7 +52,7 @@ from .batch import (
     band_pair_counts,
     band_pair_indices,
 )
-from .ground_distance import GroundDistance
+from .ground_distance import GroundDistance, ground_distance_identity
 
 #: Version stamp written into every shard checkpoint; bump on layout
 #: changes so old files are rejected instead of misread.  v2 added the
@@ -64,13 +63,10 @@ from .ground_distance import GroundDistance
 #: entropic solver's settings from the :class:`EngineSettings` fingerprint;
 #: v4 dropped the solver name, now that the engine has one route; v5
 #: stamps checkpoints with :func:`band_fingerprint`, which also hashes the
-#: input signatures.
-CHECKPOINT_FORMAT_VERSION = 5
-
-
-def _values_checksum(values: np.ndarray) -> str:
-    """sha256 over the exact float64 payload bytes of one shard."""
-    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+#: input signatures; v6 moved to the shared :mod:`repro._artifacts`
+#: layout, which checks the ``shard_id`` stamp on load and drops the row
+#: bounds (they follow from the plan hash and the shard id).
+CHECKPOINT_FORMAT_VERSION = 6
 
 
 # ---------------------------------------------------------------------- #
@@ -106,17 +102,13 @@ class EngineSettings:
     def fingerprint(self) -> str:
         """Stable hash of everything that changes a computed distance.
 
-        A callable ground distance hashes by its qualified name — the
-        best available identity; renaming the function (or passing a
-        lambda with the same name but different body) is on the caller.
+        A callable ground distance hashes by its qualified name (see
+        :func:`~repro.emd.ground_distance.ground_distance_identity`).
         """
-        gd = self.ground_distance
-        if not isinstance(gd, str):
-            gd = f"callable:{getattr(gd, '__module__', '?')}.{getattr(gd, '__qualname__', repr(gd))}"
         payload = "|".join(
             (
                 f"v{CHECKPOINT_FORMAT_VERSION}",
-                f"ground_distance={gd}",
+                f"ground_distance={ground_distance_identity(self.ground_distance)}",
             )
         )
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -279,6 +271,15 @@ def checkpoint_path(directory: Union[str, Path], shard_id: int) -> Path:
     return Path(directory) / f"shard_{shard_id:05d}.npz"
 
 
+def _stamps(plan: ShardPlan, shard_id: int, fingerprint: str) -> Tuple[Stamp, ...]:
+    """The identity stamps of one shard's checkpoint, in checking order."""
+    return (
+        Stamp("plan_hash", plan.plan_hash(), "shard plan"),
+        Stamp("shard_id", str(shard_id), "shard"),
+        Stamp("fingerprint", fingerprint, "engine configuration or input data"),
+    )
+
+
 def save_shard_checkpoint(
     directory: Union[str, Path],
     plan: ShardPlan,
@@ -286,45 +287,19 @@ def save_shard_checkpoint(
     values: np.ndarray,
     fingerprint: str,
 ) -> Path:
-    """Atomically write one shard's values, stamped for safe resumes.
-
-    The payload lands in a temporary file first and is renamed into
-    place, so a kill mid-write leaves no half-written checkpoint under
-    the canonical name.
-    """
+    """Atomically write one shard's values, stamped for safe resumes."""
     spec = plan.shard(shard_id)
     values = np.asarray(values, dtype=float)
     if values.shape != (spec.n_pairs,):
         raise ValidationError(
             f"shard {shard_id} expects {spec.n_pairs} values, got shape {values.shape}"
         )
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = checkpoint_path(directory, shard_id)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".shard_{shard_id:05d}.", suffix=".tmp.npz", dir=directory
+    return save_stamped(
+        checkpoint_path(directory, shard_id),
+        CHECKPOINT_FORMAT_VERSION,
+        _stamps(plan, shard_id, fingerprint),
+        {"values": values},
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(
-                handle,
-                format_version=np.array(CHECKPOINT_FORMAT_VERSION),
-                plan_hash=np.array(plan.plan_hash()),
-                fingerprint=np.array(fingerprint),
-                shard_id=np.array(spec.shard_id),
-                row_start=np.array(spec.row_start),
-                row_stop=np.array(spec.row_stop),
-                checksum=np.array(_values_checksum(values)),
-                values=values,
-            )
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 def load_shard_checkpoint(
@@ -336,58 +311,21 @@ def load_shard_checkpoint(
     """One shard's checkpointed values, or ``None`` when not yet written.
 
     Raises :class:`~repro.exceptions.CheckpointError` when a file exists
-    but is unreadable or *stale* — produced under a different shard plan
-    or engine configuration.  Stale checkpoints are never silently
-    recomputed: mixing them into a merge would be wrong, and recomputing
-    behind the caller's back would hide that the directory holds results
-    for a different run.
+    but is unreadable, corrupt or *stale* — produced under a different
+    shard plan or engine configuration, or copied from another shard.
+    Stale checkpoints are never silently recomputed: mixing them into a
+    merge would be wrong, and recomputing behind the caller's back would
+    hide that the directory holds results for a different run.
     """
-    spec = plan.shard(shard_id)
-    path = checkpoint_path(directory, shard_id)
-    if not path.exists():
-        return None
-    try:
-        # Opened here so a truncated archive cannot leak the handle.
-        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
-            version = int(archive["format_version"])
-            plan_hash = str(archive["plan_hash"])
-            stamp = str(archive["fingerprint"])
-            checksum = str(archive["checksum"])
-            values = np.asarray(archive["values"], dtype=float)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(f"checkpoint {path} is unreadable: {exc}") from exc
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has format version {version}, "
-            f"expected {CHECKPOINT_FORMAT_VERSION}; clear the checkpoint directory"
-        )
-    if plan_hash != plan.plan_hash():
-        raise CheckpointError(
-            f"checkpoint {path} was written for a different shard plan: "
-            f"expected plan hash {plan.plan_hash()}, found {plan_hash}; "
-            "clear the checkpoint directory or rebuild with the original "
-            "n/bandwidth/n_shards"
-        )
-    if stamp != fingerprint:
-        raise CheckpointError(
-            f"checkpoint {path} was computed under a different engine "
-            f"configuration or input data: expected fingerprint "
-            f"{fingerprint}, found {stamp}; clear the checkpoint directory "
-            "or restore the original solver settings and input"
-        )
-    if values.shape != (spec.n_pairs,):
-        raise CheckpointError(
-            f"checkpoint {path} holds {values.shape} values, "
-            f"shard {shard_id} owns {spec.n_pairs} pairs"
-        )
-    found_checksum = _values_checksum(values)
-    if checksum != found_checksum:
-        raise CheckpointError(
-            f"checkpoint {path} is corrupt: expected payload checksum "
-            f"{checksum}, found {found_checksum}; delete the file and "
-            "recompute the shard"
-        )
-    return values
+    plan.shard(shard_id)  # rejects an unknown shard id
+    payload = load_stamped(
+        checkpoint_path(directory, shard_id),
+        "checkpoint",
+        CHECKPOINT_FORMAT_VERSION,
+        _stamps(plan, shard_id, fingerprint),
+        ("values",),
+    )
+    return None if payload is None else payload["values"]
 
 
 # ---------------------------------------------------------------------- #

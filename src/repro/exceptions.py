@@ -122,13 +122,13 @@ class OrchestratorError(ReproError, RuntimeError):
 
 
 class CheckpointError(ReproError, RuntimeError):
-    """Raised when a shard checkpoint cannot be used for a resume.
+    """Raised when a shard checkpoint or stream snapshot cannot be trusted.
 
-    A checkpoint is *stale* when its recorded shard-plan hash or
-    engine-config fingerprint does not match the current run — silently
-    merging it would mix distances computed under different solver
-    settings, so the runner refuses and asks the caller to clear the
-    checkpoint directory (or point at a fresh one) instead.
+    A file is *stale* when a recorded stamp (shard-plan hash, shard id,
+    stream name or configuration fingerprint) does not match the current
+    run, and *corrupt* when it is unreadable or fails its checksum.
+    Using it would mix in results computed for another run, so
+    :func:`repro._artifacts.load_stamped` refuses it instead.
     """
 
 

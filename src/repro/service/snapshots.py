@@ -1,22 +1,16 @@
 """Stamped, checksummed on-disk snapshots of online detector streams.
 
 The in-memory form of a stream's state is
-:meth:`repro.core.OnlineBagDetector.state_dict`; this module gives it a
-durable ``.npz`` representation with the same validation semantics as
-the shard checkpoints of :mod:`repro.emd.sharding` (format v2 idiom):
-
-* every file is stamped with a **format version**, a **config
-  fingerprint** (sha256 over every score-affecting detector setting) and
-  a **payload checksum** (sha256 over the exact serialised bytes);
-* writes are **atomic** — the payload lands in a temporary file that is
-  renamed into place, so a kill mid-write never leaves a half-written
-  snapshot under the canonical name;
-* loads **never repair**: a missing file returns ``None``, but an
-  unreadable, stale, corrupt or fingerprint-mismatched file raises
-  :class:`~repro.exceptions.CheckpointError` with an
-  expected-vs-found diagnostic.  Silently restoring a stream from a
-  snapshot produced under different settings would continue it with the
-  wrong computation, which is worse than refusing.
+:meth:`repro.core.OnlineBagDetector.state_dict`; this module packs it
+into payload arrays and stores them in the stamped, atomically written
+format of :mod:`repro._artifacts` (shared with the shard checkpoints of
+:mod:`repro.emd.sharding`).  The identity stamps are the
+online-detector **state version**, the **stream** name and a **config
+fingerprint** (sha256 over every score-affecting detector setting).
+Loads never repair: an unreadable, stale, corrupt or renamed snapshot
+raises :class:`~repro.exceptions.CheckpointError`, because silently
+restoring a stream from a snapshot produced under different settings
+would continue it with the wrong computation.
 
 The quarantine manifest of :class:`repro.service.StreamSupervisor` —
 the JSON record of streams parked by the ``"quarantine"`` error policy —
@@ -27,19 +21,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
-import tempfile
-import zipfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .._artifacts import Stamp, load_stamped, save_stamped, write_atomic
 from ..bootstrap import ConfidenceInterval
 from ..core.config import DetectorConfig
 from ..core.online import STATE_FORMAT_VERSION
 from ..core.results import ScorePoint
+from ..emd.ground_distance import ground_distance_identity
 from ..exceptions import CheckpointError, ValidationError
 from ..signatures import Signature
 
@@ -47,8 +40,10 @@ from ..signatures import Signature
 #: changes so an old file is rejected with a clear message instead of
 #: being misread into a silently wrong stream state.  v2 dropped the
 #: entropic solver's settings from :func:`config_fingerprint`; v3
-#: dropped ``emd_backend``, which has one meaning now.
-SNAPSHOT_FORMAT_VERSION = 3
+#: dropped ``emd_backend``, which has one meaning now; v4 moved to the
+#: shared :mod:`repro._artifacts` layout, which checks the ``stream`` and
+#: ``state_version`` stamps on load.
+SNAPSHOT_FORMAT_VERSION = 4
 
 #: Version stamp of the quarantine manifest JSON layout.
 QUARANTINE_MANIFEST_VERSION = 1
@@ -57,8 +52,7 @@ QUARANTINE_MANIFEST_VERSION = 1
 #: filesystem-safe alphabet up front.
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
 
-#: Serialisation order of the payload arrays; the checksum hashes them
-#: in exactly this order, so the order is part of the format.
+#: The payload arrays of a snapshot.
 _PAYLOAD_KEYS: Tuple[str, ...] = (
     "n_seen",
     "sig_indices",
@@ -111,9 +105,6 @@ def config_fingerprint(config: DetectorConfig) -> str:
     are deliberately excluded: they change how fast or how much is
     retained, never what is computed.
     """
-    gd = config.ground_distance
-    if not isinstance(gd, str):
-        gd = f"callable:{getattr(gd, '__module__', '?')}.{getattr(gd, '__qualname__', repr(gd))}"
     est = config.estimator
     payload = "|".join(
         (
@@ -125,7 +116,7 @@ def config_fingerprint(config: DetectorConfig) -> str:
             f"n_clusters={config.n_clusters}",
             f"bins={config.bins!r}",
             f"histogram_range={None if config.histogram_range is None else [tuple(map(float, r)) for r in np.atleast_2d(np.asarray(config.histogram_range, dtype=float))]!r}",
-            f"ground_distance={gd}",
+            f"ground_distance={ground_distance_identity(config.ground_distance)}",
             f"lr_inspection_index={config.lr_inspection_index}",
             f"weighting={config.weighting}",
             f"n_bootstrap={config.n_bootstrap}",
@@ -275,21 +266,18 @@ def _unpack_state(payload: Dict[str, np.ndarray]) -> Dict[str, Any]:
     }
 
 
-def _payload_checksum(payload: Dict[str, np.ndarray]) -> str:
-    """sha256 over the exact payload bytes, in the fixed key order."""
-    digest = hashlib.sha256()
-    for key in _PAYLOAD_KEYS:
-        array = np.ascontiguousarray(payload[key])
-        digest.update(key.encode())
-        digest.update(str(array.dtype).encode())
-        digest.update(repr(array.shape).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------- #
 # Save / load
 # ---------------------------------------------------------------------- #
+def _stamps(name: str, fingerprint: str) -> Tuple[Stamp, ...]:
+    """The identity stamps of one stream's snapshot, in checking order."""
+    return (
+        Stamp("state_version", str(STATE_FORMAT_VERSION), "online-detector state layout"),
+        Stamp("stream", name, "stream"),
+        Stamp("fingerprint", fingerprint, "detector configuration"),
+    )
+
+
 def save_stream_snapshot(
     directory: Union[str, Path],
     name: str,
@@ -303,32 +291,12 @@ def save_stream_snapshot(
             f"stream state has format version {version}, expected "
             f"{STATE_FORMAT_VERSION}"
         )
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = snapshot_path(directory, name)
-    payload = _pack_state(state)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".stream_{name}.", suffix=".tmp.npz", dir=directory
+    return save_stamped(
+        snapshot_path(directory, name),
+        SNAPSHOT_FORMAT_VERSION,
+        _stamps(name, fingerprint),
+        _pack_state(state),
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(
-                handle,
-                format_version=np.array(SNAPSHOT_FORMAT_VERSION),
-                state_version=np.array(STATE_FORMAT_VERSION),
-                stream=np.array(name),
-                fingerprint=np.array(fingerprint),
-                checksum=np.array(_payload_checksum(payload)),
-                **payload,
-            )
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 def load_stream_snapshot(
@@ -339,52 +307,34 @@ def load_stream_snapshot(
     """One stream's snapshotted state, or ``None`` when not yet written.
 
     Raises :class:`~repro.exceptions.CheckpointError` when a file exists
-    but is unreadable, has a different snapshot format, was captured
-    under a different config fingerprint, or fails its payload checksum.
-    A rejected snapshot is never silently discarded or recomputed — the
-    caller decides whether to delete it or to restore the original
-    configuration.
+    but is unreadable, has a different snapshot format, belongs to
+    another stream, was captured under a different config fingerprint,
+    or fails its payload checksum.  A rejected snapshot is never
+    silently discarded or recomputed — the caller decides whether to
+    delete it or to restore the original configuration.
     """
-    path = snapshot_path(directory, name)
-    if not path.exists():
-        return None
-    try:
-        # np.load on a path leaks its handle when the archive is
-        # truncated (it raises before returning the NpzFile), so the file
-        # is opened, and closed, here.
-        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
-            version = int(archive["format_version"])
-            stamp = str(archive["fingerprint"])
-            checksum = str(archive["checksum"])
-            payload = {key: np.asarray(archive[key]) for key in _PAYLOAD_KEYS}
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(f"stream snapshot {path} is unreadable: {exc}") from exc
-    if version != SNAPSHOT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"stream snapshot {path} has format version {version}, expected "
-            f"{SNAPSHOT_FORMAT_VERSION}; re-snapshot the stream with this "
-            "library version"
-        )
-    if stamp != fingerprint:
-        raise CheckpointError(
-            f"stream snapshot {path} was captured under a different detector "
-            f"configuration: expected fingerprint {fingerprint}, found "
-            f"{stamp}; restore the original configuration or delete the "
-            "snapshot"
-        )
-    found_checksum = _payload_checksum(payload)
-    if checksum != found_checksum:
-        raise CheckpointError(
-            f"stream snapshot {path} is corrupt: expected payload checksum "
-            f"{checksum}, found {found_checksum}; delete the file (the "
-            "stream will restart from scratch)"
-        )
-    return _unpack_state(payload)
+    payload = load_stamped(
+        snapshot_path(directory, name),
+        "stream snapshot",
+        SNAPSHOT_FORMAT_VERSION,
+        _stamps(name, fingerprint),
+        _PAYLOAD_KEYS,
+    )
+    return None if payload is None else _unpack_state(payload)
 
 
 # ---------------------------------------------------------------------- #
 # Quarantine manifest
 # ---------------------------------------------------------------------- #
+def _manifest_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
+    """One stream's quarantine record with its fields in their JSON types."""
+    return {
+        "n_seen": int(entry["n_seen"]),
+        "reason": str(entry["reason"]),
+        "fingerprint": str(entry["fingerprint"]),
+    }
+
+
 def save_quarantine_manifest(
     directory: Union[str, Path], entries: Dict[str, Dict[str, Any]]
 ) -> Path:
@@ -394,35 +344,18 @@ def save_quarantine_manifest(
     "fingerprint"}`` dicts; an empty mapping is written out too (it
     records that nothing is quarantined any more).
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = quarantine_manifest_path(directory)
     document = {
         "format_version": QUARANTINE_MANIFEST_VERSION,
         "streams": {
-            check_stream_name(name): {
-                "n_seen": int(entry["n_seen"]),
-                "reason": str(entry["reason"]),
-                "fingerprint": str(entry["fingerprint"]),
-            }
+            check_stream_name(name): _manifest_entry(entry)
             for name, entry in sorted(entries.items())
         },
     }
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=".stream_quarantine.", suffix=".tmp.json", dir=directory
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return write_atomic(
+        quarantine_manifest_path(directory),
+        lambda handle: handle.write(text.encode("utf-8")),
     )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 def load_quarantine_manifest(
@@ -451,11 +384,4 @@ def load_quarantine_manifest(
             f"quarantine manifest {path} has format version {version}, "
             f"expected {QUARANTINE_MANIFEST_VERSION}"
         )
-    return {
-        str(name): {
-            "n_seen": int(entry["n_seen"]),
-            "reason": str(entry["reason"]),
-            "fingerprint": str(entry["fingerprint"]),
-        }
-        for name, entry in streams.items()
-    }
+    return {str(name): _manifest_entry(entry) for name, entry in streams.items()}

@@ -4,7 +4,7 @@
 harness behind the orchestrator's recovery test suite (and usable by
 downstream users who want to drill their own pipelines): seeded,
 monkeypatch-style injectors for worker crashes, hung and transiently
-failing solves, poison pairs and corrupt checkpoint files.
+failing solves, poison pairs and corrupt checkpoint and snapshot files.
 """
 
 from .faults import (
@@ -16,8 +16,7 @@ from .faults import (
     inject_worker_crash,
     inject_worker_hang,
     match_first_row,
-    tamper_checkpoint_values,
-    tamper_snapshot_payload,
+    tamper_payload,
     truncate_checkpoint,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "inject_worker_crash",
     "inject_worker_hang",
     "match_first_row",
-    "tamper_checkpoint_values",
-    "tamper_snapshot_payload",
+    "tamper_payload",
     "truncate_checkpoint",
 ]

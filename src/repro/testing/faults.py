@@ -25,9 +25,9 @@ The injectors cover the orchestrator's whole fault matrix:
   path), optionally also failing the singleton re-solve and the
   exact-LP rescue;
 * :func:`truncate_checkpoint` / :func:`bitflip_checkpoint` /
-  :func:`tamper_checkpoint_values` — on-disk checkpoint corruption
-  (unreadable archive, flipped bits, a valid archive whose payload no
-  longer matches its checksum);
+  :func:`tamper_payload` — on-disk corruption of checkpoints and
+  snapshots (unreadable archive, flipped bits, a valid archive whose
+  payload no longer matches its checksum);
 * :class:`FakeClock` — an injectable clock/sleep pair so timeout and
   straggler behaviour is driven by simulated time.
 
@@ -362,39 +362,16 @@ def bitflip_checkpoint(
     path.write_bytes(bytes(data))
 
 
-def tamper_checkpoint_values(path: Union[str, Path], *, delta: float = 1.0) -> None:
-    """Rewrite a checkpoint's values without updating its checksum.
+def tamper_payload(path: Union[str, Path], *, key: str, delta: float = 1.0) -> None:
+    """Rewrite one payload array of a stamped file, keeping its stamps.
 
-    Produces a perfectly readable archive whose payload silently differs
-    from what was computed — the corruption class only the sha256
-    payload checksum (checkpoint format v2) can catch, since the zip
-    layer's own CRC is recomputed by the rewrite.
-    """
-    path = Path(path)
-    # Deliberately skips checksum/fingerprint validation: this *writes*
-    # the corruption the validating loader must catch.
-    with np.load(path, allow_pickle=False) as archive:  # reprolint: disable=RL007
-        entries = {name: np.asarray(archive[name]) for name in archive.files}
-    values = np.asarray(entries["values"], dtype=float).copy()
-    if values.size == 0:
-        raise ValueError(f"{path} holds no values; nothing to tamper with")
-    values[0] += delta
-    entries["values"] = values
-    with open(path, "wb") as handle:
-        np.savez(handle, **entries)
-
-
-def tamper_snapshot_payload(
-    path: Union[str, Path], *, key: str = "window_matrix", delta: float = 1.0
-) -> None:
-    """Rewrite one payload array of a stream snapshot, keeping its stamp.
-
-    The stream-snapshot analogue of :func:`tamper_checkpoint_values`: the
-    archive stays perfectly readable and keeps its recorded format
-    version, fingerprint and checksum, but the named payload array
-    (default: the rolling window matrix) silently differs — the
+    The archive — a shard checkpoint (``key="values"``) or a stream
+    snapshot (e.g. ``key="window_matrix"``) — stays perfectly readable
+    and keeps its recorded format version, stamps and checksum, but the
+    first element of the named payload array silently differs: the
     corruption class only the sha256 payload checksum of
-    :func:`repro.service.snapshots.load_stream_snapshot` can catch.
+    :func:`repro._artifacts.load_stamped` can catch, since the zip
+    layer's own CRC is recomputed by the rewrite.
     """
     path = Path(path)
     # Deliberately skips checksum/fingerprint validation: this *writes*

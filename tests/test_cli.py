@@ -239,6 +239,15 @@ class TestMain:
         with pytest.raises(SystemExit):
             main([str(tmp_path / "missing.npz")])
 
+    @pytest.mark.parametrize("cut", [0, 0.5], ids=["empty", "truncated"])
+    def test_unreadable_npz_is_a_usage_error(self, npz_stream, capsys, cut):
+        content = npz_stream.read_bytes()
+        npz_stream.write_bytes(content[: int(len(content) * cut)])
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(npz_stream)])
+        assert excinfo.value.code == 2
+        assert "is not a readable .npz archive" in capsys.readouterr().err
+
     def test_unsupported_extension_errors(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("nope")

@@ -31,7 +31,7 @@ from repro.testing import (
     inject_worker_crash,
     inject_worker_hang,
     match_first_row,
-    tamper_checkpoint_values,
+    tamper_payload,
     truncate_checkpoint,
 )
 from test_sharding import histogram_signatures
@@ -242,7 +242,7 @@ class TestCheckpointCorruptors:
         # archive whose float payload silently changed must still be
         # rejected, by the sha256 payload checksum.
         plan, path = self.make_checkpoint(tmp_path)
-        tamper_checkpoint_values(path, delta=0.5)
+        tamper_payload(path, key="values", delta=0.5)
         with np.load(path) as archive:  # readable: the zip layer is happy
             assert "values" in archive.files
         with pytest.raises(CheckpointError, match="payload checksum"):

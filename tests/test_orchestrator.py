@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +33,6 @@ from repro.emd.sharding import (
     ShardPlan,
     band_fingerprint,
     checkpoint_path,
-    save_shard_checkpoint,
 )
 from repro.exceptions import (
     ConfigurationError,
@@ -49,7 +48,7 @@ from repro.testing import (
     inject_worker_crash,
     inject_worker_hang,
     match_first_row,
-    tamper_checkpoint_values,
+    tamper_payload,
     truncate_checkpoint,
 )
 from test_sharding import (
@@ -427,6 +426,28 @@ class TestPoisonPairs:
             reference_band(signatures, 6)
         ).sum() + 1
 
+    def test_clean_rerun_empties_the_persisted_manifest(self, tmp_path):
+        signatures = histogram_signatures(18, seed=6)
+        plan = ShardPlan.build(len(signatures), 6, 3)
+        pair = self.find_band_pair(plan)
+        degraded, _ = make_orchestrator(
+            plan,
+            policy=RetryPolicy(on_poison_pair="degraded"),
+            checkpoint_dir=tmp_path,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with inject_poison_pairs([pair], fail_singleton=True, fail_exact=True):
+                degraded.run(signatures)
+        # The operator drops the masked shards and rebuilds without the fault.
+        for path in tmp_path.glob("shard_*.npz"):
+            path.unlink()
+        clean, _ = make_orchestrator(plan, checkpoint_dir=tmp_path)
+        clean.run(signatures)
+        assert len(clean.quarantine) == 0
+        payload = json.loads((tmp_path / QUARANTINE_FILENAME).read_text())
+        assert payload["pairs"] == []
+
 
 # ---------------------------------------------------------------------- #
 # Checkpoint validation
@@ -442,7 +463,7 @@ class TestCheckpointValidation:
 
     @pytest.mark.parametrize(
         "corrupt",
-        [truncate_checkpoint, bitflip_checkpoint, tamper_checkpoint_values],
+        [truncate_checkpoint, bitflip_checkpoint, partial(tamper_payload, key="values")],
         ids=["truncated", "bitflipped", "tampered-payload"],
     )
     def test_corrupt_checkpoint_is_requeued_not_fatal(self, tmp_path, corrupt):

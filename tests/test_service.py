@@ -40,7 +40,7 @@ from repro.service import (
 from repro.testing.faults import (
     bitflip_checkpoint,
     inject_transient_solver_error,
-    tamper_snapshot_payload,
+    tamper_payload,
     truncate_checkpoint,
 )
 
@@ -209,10 +209,10 @@ def _snapshot_for_corruption(tmp_path, name="victim"):
 
 class TestSnapshotRejection:
     def test_previous_format_version_rejected(self, tmp_path):
-        # v2 snapshots hashed emd_backend into their config fingerprint.
+        # v3 snapshots carried stream and state-version stamps no load checked.
         path, fingerprint = _snapshot_for_corruption(tmp_path)
-        restamp_format_version(path, 2)
-        with pytest.raises(CheckpointError, match="format version 2, expected 3"):
+        restamp_format_version(path, 3)
+        with pytest.raises(CheckpointError, match="format version 3, expected 4"):
             load_stream_snapshot(tmp_path, "victim", fingerprint)
 
     def test_truncated_snapshot_rejected(self, tmp_path):
@@ -229,9 +229,15 @@ class TestSnapshotRejection:
 
     def test_tampered_snapshot_rejected_by_checksum(self, tmp_path):
         path, fingerprint = _snapshot_for_corruption(tmp_path)
-        tamper_snapshot_payload(path, key="window_matrix", delta=0.5)
+        tamper_payload(path, key="window_matrix", delta=0.5)
         with pytest.raises(CheckpointError, match="checksum"):
             load_stream_snapshot(tmp_path, "victim", fingerprint)
+
+    def test_snapshot_copied_to_another_stream_rejected(self, tmp_path):
+        path, fingerprint = _snapshot_for_corruption(tmp_path, name="left")
+        snapshot_path(tmp_path, "right").write_bytes(path.read_bytes())
+        with pytest.raises(CheckpointError, match="expected stream right, found left"):
+            load_stream_snapshot(tmp_path, "right", fingerprint)
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         _snapshot_for_corruption(tmp_path)

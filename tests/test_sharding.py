@@ -24,7 +24,7 @@ from repro.emd import (
     merge_shards,
     save_shard_checkpoint,
 )
-from repro.emd.sharding import _compute_shard_values
+from repro.emd.sharding import _compute_shard_values, checkpoint_path
 from repro.exceptions import (
     CheckpointError,
     OrchestratorError,
@@ -329,15 +329,27 @@ class TestCheckpoints:
             )
 
     def test_previous_format_version_rejected(self, tmp_path):
-        # v4 checkpoints were stamped without the input data.
+        # v5 checkpoints carried a shard id no load ever checked.
         plan = ShardPlan.build(20, 6, 4)
         fingerprint = EngineSettings().fingerprint()
         path = save_shard_checkpoint(
             tmp_path, plan, 0, np.zeros(plan.shard(0).n_pairs), fingerprint
         )
-        restamp_format_version(path, 4)
-        with pytest.raises(CheckpointError, match="format version 4, expected 5"):
+        restamp_format_version(path, 5)
+        with pytest.raises(CheckpointError, match="format version 5, expected 6"):
             load_shard_checkpoint(tmp_path, plan, 0, fingerprint)
+
+    def test_checkpoint_copied_to_another_shard_rejected(self, tmp_path):
+        # Shards 1-3 own 45 pairs each, so only the shard-id stamp tells
+        # shard 1's values from shard 2's.
+        plan = ShardPlan.build(40, 6, 4)
+        assert plan.shard(1).n_pairs == plan.shard(2).n_pairs
+        path = save_shard_checkpoint(
+            tmp_path, plan, 1, np.arange(plan.shard(1).n_pairs, dtype=float), "fp"
+        )
+        checkpoint_path(tmp_path, 2).write_bytes(path.read_bytes())
+        with pytest.raises(CheckpointError, match="expected shard id 2, found 1"):
+            load_shard_checkpoint(tmp_path, plan, 2, "fp")
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         signatures, plan, orchestrator = self.make(tmp_path)
@@ -643,12 +655,15 @@ class TestCheckpointDiagnostics:
         assert "found written-under-this" in message
 
     def test_tampered_payload_reports_both_checksums(self, tmp_path):
-        from repro.emd.sharding import _values_checksum, checkpoint_path
-        from repro.testing import tamper_checkpoint_values
+        from repro._artifacts import payload_checksum
+        from repro.testing import tamper_payload
+
+        def _values_checksum(values):
+            return payload_checksum({"values": values})
 
         plan = ShardPlan.build(20, 6, 4)
         values = self.write_one(tmp_path, plan)
-        tamper_checkpoint_values(checkpoint_path(tmp_path, 0), delta=0.25)
+        tamper_payload(checkpoint_path(tmp_path, 0), key="values", delta=0.25)
         with pytest.raises(CheckpointError) as excinfo:
             load_shard_checkpoint(tmp_path, plan, 0, "fp")
         message = str(excinfo.value)

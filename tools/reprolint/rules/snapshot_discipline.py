@@ -4,9 +4,10 @@ The project's persisted state — shard checkpoints
 (:mod:`repro.emd.sharding`) and stream snapshots
 (:mod:`repro.service.snapshots`) — is stamped: every file carries a
 sha256 **checksum** over its payload bytes and a configuration
-**fingerprint**.  The loaders reject corrupt or stale files instead of
-merging silently-wrong numbers into a resumed run.  That guarantee only
-holds while every read goes through a validating loader; an ``np.load``
+**fingerprint**.  The one validating loader,
+:func:`repro._artifacts.load_stamped`, rejects corrupt or stale files
+instead of merging silently-wrong numbers into a resumed run.  That
+guarantee only holds while every read goes through it; an ``np.load``
 of a snapshot that skips the stamps reintroduces exactly the failure
 class the format was designed to catch.
 
@@ -113,6 +114,6 @@ class SnapshotDisciplineRule(Rule):
                 "checkpoint file, but the enclosing function "
                 f"{getattr(function, 'name', '?')}() never consults its "
                 f"{' or '.join(missing)}; route the read through the "
-                "validating loader (load_stream_snapshot / "
-                "load_shard_checkpoint) or verify the stamps here",
+                "validating loader (repro._artifacts.load_stamped) or "
+                "verify the stamps here",
             )
