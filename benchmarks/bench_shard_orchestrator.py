@@ -1,12 +1,13 @@
 """Benchmark: fault-tolerant orchestration overhead and recovery cost.
 
 The orchestrator (:mod:`repro.emd.orchestrator`) wraps the sharded band
-build in a retry/backoff work queue with straggler re-dispatch,
-poison-pair quarantine and checkpoint validation.  All of that machinery
-must be close to free when nothing goes wrong, and recovery from faults
-must terminate with the *same band* the unfaulted build produces — the
-whole point of deterministic fault injection is that this is checkable
-at 1e-12, not just "looks plausible".
+build in a retry/backoff work queue with straggler reclaiming (a slow
+attempt is killed and its shard re-run), poison-pair quarantine and
+checkpoint validation.  All of that machinery must be close to free when
+nothing goes wrong, and recovery from faults must terminate with the
+*same band* the unfaulted build produces — the whole point of
+deterministic fault injection is that this is checkable at 1e-12, not
+just "looks plausible".
 
 Sections:
 
@@ -18,12 +19,14 @@ Sections:
   shard like the orchestrator does: the whole-band engine stacks pairs
   across shards and is faster for that reason alone, which would make
   the gate measure batching instead of orchestration;
-* **recovery** — the orchestrated build re-run under three injected
+* **recovery** — the orchestrated build re-run under four injected
   fault classes (worker crash, transient solver error, poison pair in
-  degraded mode), each measured against the unfaulted orchestrated
-  build; every recovered band must match the unfaulted band at 1e-12
-  wherever both are finite, and the poison run must mask exactly the
-  quarantined entry.
+  degraded mode, and one hung attempt under the default policy, which
+  sets no ``shard_timeout``), each measured against the unfaulted
+  orchestrated build; every recovered band must match the unfaulted
+  band at 1e-12 wherever both are finite, the poison run must mask
+  exactly the quarantined entry, and the hung attempt must be reclaimed
+  as a straggler.
 
 Run standalone::
 
@@ -55,6 +58,8 @@ from repro.testing import (
     inject_poison_pairs,
     inject_transient_solver_error,
     inject_worker_crash,
+    inject_worker_hang,
+    match_first_row,
 )
 
 PARITY_TOL = 1e-12
@@ -163,7 +168,7 @@ def main(argv=None) -> int:
     print(f"max band |orchestrator - serial| = {orch_diff:.2e}")
 
     # ------------------------------------------------------------------ #
-    # Recovery section: the same build under three injected fault
+    # Recovery section: the same build under four injected fault
     # classes, all driven to completion by the retry/quarantine queue.
     # ------------------------------------------------------------------ #
     kill_at = plan.n_pairs // 2
@@ -211,13 +216,30 @@ def main(argv=None) -> int:
         "n_masked": n_masked,
     }
 
+    # No shard_timeout: only straggler reclaiming can rescue the build.
+    orch = make_orchestrator(plan)
+    last_row = plan.shards[-1].row_start
+    with inject_worker_hang(times=1, match=match_first_row(last_row)):
+        hang_time, hang_band = timed(lambda: orch.run(signatures))
+    recovery["hang"] = {
+        "seconds": hang_time,
+        "retries": orch.n_retries,
+        "parity": band_parity(hang_band, orch_band),
+        "n_masked": int(np.sum(np.isnan(hang_band.band) & np.isfinite(orch_band.band))),
+        "stragglers_redispatched": orch.n_stragglers_redispatched,
+    }
+
     print("\nrecovery: faulted orchestrated builds vs the unfaulted build")
-    print(f"{'fault':<18}{'seconds':>10}{'vs clean':>10}{'retries':>9}{'masked':>8}{'parity':>11}")
+    print(
+        f"{'fault':<18}{'seconds':>10}{'vs clean':>10}{'retries':>9}"
+        f"{'reclaimed':>11}{'masked':>8}{'parity':>11}"
+    )
     for label, stats in recovery.items():
         slowdown = stats["seconds"] / orch_time if orch_time > 0 else float("inf")
         print(
             f"{label:<18}{stats['seconds']:>10.3f}{slowdown:>9.2f}x"
-            f"{stats['retries']:>9d}{stats['n_masked']:>8d}{stats['parity']:>11.2e}"
+            f"{stats['retries']:>9d}{stats.get('stragglers_redispatched', 0):>11d}"
+            f"{stats['n_masked']:>8d}{stats['parity']:>11.2e}"
         )
 
     max_diff = max(
@@ -228,9 +250,12 @@ def main(argv=None) -> int:
         recovery["crash"]["n_masked"] == 0
         and recovery["transient"]["n_masked"] == 0
         and recovery["poison-degraded"]["n_masked"] == 1
+        and recovery["hang"]["n_masked"] == 0
     )
     recovered_ok = (
-        recovery["crash"]["retries"] >= 1 and recovery["transient"]["retries"] >= 1
+        recovery["crash"]["retries"] >= 1
+        and recovery["transient"]["retries"] >= 1
+        and recovery["hang"]["stragglers_redispatched"] >= 1
     )
     enforce = not args.quick
     overhead_ok = args.quick or overhead <= args.overhead
@@ -262,14 +287,18 @@ def main(argv=None) -> int:
         return 1
     if not masking_ok:
         print(
-            "FAIL: masking mismatch — crash/transient recovery must mask "
+            "FAIL: masking mismatch — crash/transient/hang recovery must mask "
             f"nothing and poison-degraded exactly one entry, got "
             f"{recovery['crash']['n_masked']}/{recovery['transient']['n_masked']}"
+            f"/{recovery['hang']['n_masked']}"
             f"/{recovery['poison-degraded']['n_masked']}"
         )
         return 1
     if not recovered_ok:
-        print("FAIL: injected faults were not absorbed by the retry queue")
+        print(
+            "FAIL: injected faults were not absorbed by the retry queue "
+            "or the hung attempt was not reclaimed as a straggler"
+        )
         return 1
     if not overhead_ok:
         print(
@@ -278,7 +307,7 @@ def main(argv=None) -> int:
         )
         return 1
     print(
-        f"OK: orchestration overhead {overhead * 100:+.1f}%, all three fault "
+        f"OK: orchestration overhead {overhead * 100:+.1f}%, all four fault "
         f"classes recovered to {max_diff:.2e} parity"
     )
     return 0

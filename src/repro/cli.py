@@ -16,12 +16,13 @@ A second mode, ``repro-detect shard-build``, runs only the band-build
 stage through the fault-tolerant shard orchestrator
 (:mod:`repro.emd.orchestrator`): it partitions the EMD band into
 row-block shards and executes them on killable worker processes with
-retry/backoff, timeouts, straggler re-dispatch and poison-pair
-quarantine.  Its product is the checksummed per-shard checkpoint
-directory (``--shard-checkpoint-dir``), stamped with the plan, the
-solver settings and the input data: a detection run with the same
-flags (shard-build takes exactly the detect run's band-shaping flags)
-resumes its band from it instead of recomputing.
+retry/backoff, timeouts, straggler reclaiming (a slow attempt is killed
+and its shard re-run) and poison-pair quarantine.  Its product is the
+checksummed per-shard checkpoint directory (``--shard-checkpoint-dir``),
+stamped with the plan, the solver settings and the input data: a
+detection run with the same flags (shard-build takes exactly the detect
+run's band-shaping flags) resumes its band from it instead of
+recomputing.
 
 Every flag that sets a :class:`~repro.core.DetectorConfig` or
 :class:`~repro.service.SupervisorPolicy` field is generated from the
@@ -330,7 +331,12 @@ def shard_build_main(argv: Optional[Sequence[str]] = None) -> int:
         f"resumed {orchestrator.n_shards_resumed})",
         file=sys.stderr,
     )
-    if orchestrator.n_retries or orchestrator.n_timeouts or orchestrator.n_checkpoints_requeued:
+    if (
+        orchestrator.n_retries
+        or orchestrator.n_timeouts
+        or orchestrator.n_checkpoints_requeued
+        or orchestrator.n_stragglers_redispatched
+    ):
         print(
             f"recovered faults: retries={orchestrator.n_retries} "
             f"timeouts={orchestrator.n_timeouts} "

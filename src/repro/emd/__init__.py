@@ -32,7 +32,6 @@ from .orchestrator import (
     WorkerCrash,
     WorkerHang,
     compute_backoff,
-    orchestrated_banded_matrix,
 )
 from .sharding import (
     EngineSettings,
@@ -72,7 +71,6 @@ __all__ = [
     "WorkerCrash",
     "WorkerHang",
     "compute_backoff",
-    "orchestrated_banded_matrix",
     "EMDResult",
     "emd",
     "emd_with_flow",

@@ -11,12 +11,13 @@ same shard layer through a work queue that survives those faults:
   hand-rolled ``time.sleep`` retry loops) until a per-shard retry budget
   is exhausted, at which point :class:`~repro.exceptions.OrchestratorError`
   is raised;
-* **timeouts and stragglers** — an attempt running past the configured
-  per-shard timeout is killed and re-enqueued; an attempt running beyond
-  ``straggler_factor ×`` the median completion time is *speculatively
-  duplicated* while it keeps running — the first attempt to deliver a
-  valid result wins, the losers are cancelled and their partial output
-  discarded;
+* **timeouts and stragglers** — one kill path: an attempt running past
+  the configured per-shard timeout is killed and re-enqueued with
+  backoff against the retry budget; an attempt running beyond
+  :data:`STRAGGLER_FACTOR` × the median completion time of this run's
+  finished shards is killed and re-enqueued at once, free of budget and
+  backoff, at most once per shard.  At most one attempt per shard is
+  ever in flight, so reclaiming needs no free worker slot;
 * **poison-pair quarantine** — when a batched solve fails with
   :class:`~repro.exceptions.SolverError` carrying ``pair_indices``, the
   orchestrator bisects the failing group, retries the halves, and
@@ -48,7 +49,7 @@ import os
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
@@ -60,6 +61,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -104,6 +106,15 @@ QUARANTINE_FILENAME = "quarantine.json"
 
 #: Version stamp of the quarantine-manifest JSON layout.
 QUARANTINE_FORMAT_VERSION = 1
+
+#: A running attempt older than this many times the median completion
+#: time of the run's finished shards (floored at ``poll_interval``) is a
+#: straggler: it is killed and its shard re-enqueued, once per shard.
+STRAGGLER_FACTOR = 3.0
+
+#: Shards that must have finished in this run before the median is
+#: trusted for straggler detection.
+STRAGGLER_MIN_DONE = 3
 
 
 # ---------------------------------------------------------------------- #
@@ -153,14 +164,9 @@ class RetryPolicy:
         Parameters of :func:`compute_backoff` applied between attempts.
     shard_timeout:
         Wall-clock seconds one shard attempt may run before it is killed
-        and re-enqueued; ``None`` (default) disables the timeout.
-    straggler_factor:
-        A running attempt older than ``straggler_factor × median``
-        completion time is speculatively duplicated; ``None`` disables
-        speculation.
-    straggler_min_done:
-        Minimum number of completed shards before the median is trusted
-        for straggler detection.
+        and re-enqueued as a failure; ``None`` (default) disables the
+        timeout.  Stragglers are reclaimed without it (see
+        :data:`STRAGGLER_FACTOR`).
     poison_retries:
         Engine re-solve attempts an isolated poison pair gets before the
         per-pair exact LP is tried and, failing that, the pair is
@@ -180,38 +186,30 @@ class RetryPolicy:
     backoff_max: float = 5.0
     backoff_jitter: float = 0.5
     shard_timeout: Optional[float] = None
-    straggler_factor: Optional[float] = 3.0
-    straggler_min_done: int = 3
     poison_retries: int = 1
     on_poison_pair: PoisonPolicyName = "strict"
     poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
+        if self.shard_timeout is not None and not (
+            np.isfinite(self.shard_timeout) and self.shard_timeout > 0
+        ):
             raise ConfigurationError(
-                f"shard_timeout must be positive or None, got {self.shard_timeout}"
-            )
-        if self.straggler_factor is not None and self.straggler_factor <= 1:
-            raise ConfigurationError(
-                f"straggler_factor must exceed 1 or be None, got {self.straggler_factor}"
-            )
-        if self.poison_retries < 0:
-            raise ConfigurationError(
-                f"poison_retries must be >= 0, got {self.poison_retries}"
+                f"shard_timeout must be a positive number or None, got {self.shard_timeout}"
             )
         if self.on_poison_pair not in POISON_POLICIES:
             raise ConfigurationError(
                 f"on_poison_pair must be one of {POISON_POLICIES}, "
                 f"got {self.on_poison_pair!r}"
             )
-        if self.poll_interval <= 0:
+        if not (np.isfinite(self.poll_interval) and self.poll_interval > 0):
             raise ConfigurationError(
-                f"poll_interval must be positive, got {self.poll_interval}"
+                f"poll_interval must be a positive number, got {self.poll_interval}"
             )
-        # Delegated validation of the backoff parameters.
+        # Delegated validation of the counts and the backoff parameters.
         try:
+            check_positive_int(self.max_retries, "max_retries", minimum=0)
+            check_positive_int(self.poison_retries, "poison_retries", minimum=0)
             compute_backoff(
                 0,
                 base=self.backoff_base,
@@ -342,8 +340,7 @@ class WorkerCrash(ReproError, RuntimeError):
 class WorkerHang(ReproError, RuntimeError):
     """Protocol exception: a shard task raising this emulates a hung
     solve.  The inline backend reports the attempt as still running
-    until the orchestrator kills it (timeout) or out-races it with a
-    speculative duplicate."""
+    until the orchestrator kills it, as a timeout or as a straggler."""
 
 
 @dataclass
@@ -356,15 +353,8 @@ class _Outcome:
 
 
 @dataclass
-class _ShardTask:
-    shard_id: int
-    attempt: int = 0
-    speculative: bool = False
-
-
-@dataclass
 class _Active:
-    task: _ShardTask
+    shard_id: int
     handle: Any
     started: float
 
@@ -516,7 +506,7 @@ class ProcessWorkerBackend:
 
     Unlike a worker in a process pool, a dedicated process per attempt
     can be killed individually — the primitive the timeout and
-    straggler-cancellation paths need.  The
+    straggler paths share.  The
     signature arrays still live in shared memory (one placement for the
     whole build), so spawning an attempt ships only a few integers.
     """
@@ -645,8 +635,12 @@ class ShardOrchestrator:
         The :class:`EngineSettings` every attempt solves under; defaults
         to the engine defaults.
     policy:
-        The :class:`RetryPolicy`; defaults to two retries, no timeout,
-        3× straggler speculation and the strict poison policy.
+        The :class:`RetryPolicy`; defaults to two retries, no timeout
+        and the strict poison policy.  Independently of the policy, an
+        attempt older than :data:`STRAGGLER_FACTOR` × the median shard
+        time (once :data:`STRAGGLER_MIN_DONE` shards have finished) is
+        killed and its shard re-enqueued, once per shard, free of retry
+        budget.
     mode:
         ``"process"`` (default) runs one killable worker process per
         attempt (falling back to the inline backend, with a warning,
@@ -676,7 +670,7 @@ class ShardOrchestrator:
         After :meth:`run`: shards solved this call vs loaded from
         checkpoints.
     n_retries, n_timeouts, n_stragglers_redispatched,
-    n_duplicates_cancelled, n_checkpoints_requeued, n_poison_rescued:
+    n_checkpoints_requeued, n_poison_rescued:
         Fault-handling counters, reset at the start of every run.
     quarantine:
         The final :class:`QuarantineManifest` (empty when every pair
@@ -738,7 +732,6 @@ class ShardOrchestrator:
         self.n_retries = 0
         self.n_timeouts = 0
         self.n_stragglers_redispatched = 0
-        self.n_duplicates_cancelled = 0
         self.n_checkpoints_requeued = 0
         self.n_poison_rescued = 0
 
@@ -756,10 +749,8 @@ class ShardOrchestrator:
         manifest = QuarantineManifest(self.plan.plan_hash(), fingerprint)
         values: Dict[int, np.ndarray] = {}
         self._resume_checkpoints(values, fingerprint, manifest)
-        pending: Deque[_ShardTask] = deque(
-            _ShardTask(spec.shard_id)
-            for spec in self.plan.shards
-            if spec.shard_id not in values
+        pending: Deque[int] = deque(
+            spec.shard_id for spec in self.plan.shards if spec.shard_id not in values
         )
         if pending:
             backend = self._make_backend(signatures)
@@ -853,32 +844,20 @@ class ShardOrchestrator:
         self,
         backend: WorkerBackend,
         signatures: Sequence[Signature],
-        pending: Deque[_ShardTask],
+        pending: Deque[int],
         values: Dict[int, np.ndarray],
         fingerprint: str,
         manifest: QuarantineManifest,
     ) -> None:
         policy = self.policy
         slots = self._effective_workers()
-        needed = {task.shard_id for task in pending}
         active: List[_Active] = []
-        waiting: List[Tuple[float, _ShardTask]] = []
+        waiting: List[Tuple[float, int]] = []
         failures: Dict[int, int] = {}
         durations: List[float] = []
+        reclaimed: Set[int] = set()
 
-        def other_attempt_exists(shard_id: int, entry: Optional[_Active]) -> bool:
-            if any(a is not entry and a.task.shard_id == shard_id for a in active):
-                return True
-            if any(task.shard_id == shard_id for _, task in waiting):
-                return True
-            return any(task.shard_id == shard_id for task in pending)
-
-        def record_failure(entry: _Active, error: BaseException) -> None:
-            shard_id = entry.task.shard_id
-            if other_attempt_exists(shard_id, entry):
-                # A duplicate attempt is still in flight or queued; let
-                # it carry the shard instead of burning retry budget.
-                return
+        def record_failure(shard_id: int, error: BaseException) -> None:
             failures[shard_id] = failures.get(shard_id, 0) + 1
             if failures[shard_id] > policy.max_retries:
                 raise OrchestratorError(
@@ -887,115 +866,86 @@ class ShardOrchestrator:
                     f"error: {error}"
                 ) from error
             delay = policy.backoff(failures[shard_id], self._rng)
-            waiting.append(
-                (
-                    self._clock() + delay,
-                    _ShardTask(shard_id, attempt=entry.task.attempt + 1),
-                )
-            )
+            waiting.append((self._clock() + delay, shard_id))
             self.n_retries += 1
 
-        def finish(entry: _Active, shard_values: np.ndarray) -> None:
-            shard_id = entry.task.shard_id
+        def finish(shard_id: int, shard_values: np.ndarray) -> None:
             values[shard_id] = np.asarray(shard_values, dtype=float)
-            needed.discard(shard_id)
             if self.checkpoint_dir is not None:
                 save_shard_checkpoint(
                     self.checkpoint_dir, self.plan, shard_id, shard_values, fingerprint
                 )
             self.n_shards_computed += 1
-            # First valid result wins: cancel duplicate attempts and
-            # discard their partial output.
-            for other in [a for a in active if a.task.shard_id == shard_id]:
-                backend.kill(other.handle)
-                active.remove(other)
-                self.n_duplicates_cancelled += 1
 
-        while needed:
+        while pending or waiting or active:
             now = self._clock()
             progressed = False
 
-            still_waiting: List[Tuple[float, _ShardTask]] = []
-            for ready_at, task in waiting:
-                if ready_at <= now and task.shard_id in needed:
-                    pending.append(task)
-                elif task.shard_id in needed:
-                    still_waiting.append((ready_at, task))
-            waiting = still_waiting
+            pending.extend(shard_id for ready_at, shard_id in waiting if ready_at <= now)
+            waiting = [(ready_at, s) for ready_at, s in waiting if ready_at > now]
 
             while pending and len(active) < slots:
-                task = pending.popleft()
-                if task.shard_id not in needed:
-                    continue
-                active.append(_Active(task, backend.start(task.shard_id), self._clock()))
+                shard_id = pending.popleft()
+                active.append(_Active(shard_id, backend.start(shard_id), self._clock()))
                 progressed = True
 
-            if (
-                policy.straggler_factor is not None
-                and not pending
-                and len(active) < slots
-                and len(durations) >= policy.straggler_min_done
-            ):
-                median = float(np.median(durations))
-                threshold = policy.straggler_factor * max(median, policy.poll_interval)
-                for entry in list(active):
-                    if len(active) >= slots:
-                        break
-                    shard_id = entry.task.shard_id
-                    if entry.task.speculative:
-                        continue
-                    if other_attempt_exists(shard_id, entry):
-                        continue
-                    if now - entry.started > threshold:
-                        duplicate = replace(
-                            entry.task, attempt=entry.task.attempt + 1, speculative=True
-                        )
-                        active.append(
-                            _Active(duplicate, backend.start(shard_id), self._clock())
-                        )
-                        self.n_stragglers_redispatched += 1
-                        progressed = True
-
+            straggler_age = (
+                STRAGGLER_FACTOR * max(float(np.median(durations)), policy.poll_interval)
+                if len(durations) >= STRAGGLER_MIN_DONE
+                else None
+            )
             for entry in list(active):
                 outcome = backend.poll(entry.handle)
-                shard_id = entry.task.shard_id
+                shard_id = entry.shard_id
                 if outcome is None:
-                    if (
-                        policy.shard_timeout is not None
-                        and now - entry.started > policy.shard_timeout
-                    ):
-                        backend.kill(entry.handle)
-                        active.remove(entry)
+                    age = now - entry.started
+                    timed_out = (
+                        policy.shard_timeout is not None and age > policy.shard_timeout
+                    )
+                    straggling = (
+                        straggler_age is not None
+                        and age > straggler_age
+                        and shard_id not in reclaimed
+                    )
+                    if not (timed_out or straggling):
+                        continue
+                    backend.kill(entry.handle)
+                    active.remove(entry)
+                    progressed = True
+                    if timed_out:
                         self.n_timeouts += 1
-                        progressed = True
                         record_failure(
-                            entry,
+                            shard_id,
                             OrchestratorError(
                                 f"shard {shard_id} attempt timed out after "
                                 f"{policy.shard_timeout:.3g}s"
                             ),
                         )
+                    else:
+                        # Hung or just slow: a fresh attempt goes first
+                        # in line, with no backoff and no retry budget.
+                        reclaimed.add(shard_id)
+                        pending.appendleft(shard_id)
+                        self.n_stragglers_redispatched += 1
                     continue
                 active.remove(entry)
                 progressed = True
-                if shard_id not in needed:
-                    continue  # lost the race to a duplicate attempt
                 if outcome.status == "ok" and outcome.values is not None:
                     durations.append(max(0.0, self._clock() - entry.started))
-                    finish(entry, outcome.values)
+                    finish(shard_id, outcome.values)
                     continue
                 error = outcome.error or OrchestratorError(
                     f"shard {shard_id} attempt ended without a result"
                 )
                 if isinstance(error, SolverError) and error.pair_indices:
-                    shard_values = self._resolve_poison_shard(
-                        signatures, shard_id, error, manifest
+                    finish(
+                        shard_id,
+                        self._resolve_poison_shard(signatures, shard_id, error, manifest),
                     )
-                    finish(entry, shard_values)
                     continue
-                record_failure(entry, error)
+                record_failure(shard_id, error)
 
-            if needed and not progressed:
+            if not progressed:
                 self._sleep(policy.poll_interval)
 
     # ------------------------------------------------------------------ #
@@ -1159,30 +1109,6 @@ class ShardOrchestrator:
         return final
 
 
-def orchestrated_banded_matrix(
-    signatures: Sequence[Signature],
-    bandwidth: int,
-    n_shards: int,
-    *,
-    settings: Optional[EngineSettings] = None,
-    policy: Optional[RetryPolicy] = None,
-    mode: ParallelBackendName = "process",
-    n_workers: Optional[int] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-) -> BandedDistanceMatrix:
-    """Convenience wrapper: plan, orchestrate and merge in one call."""
-    plan = ShardPlan.build(len(signatures), bandwidth, n_shards)
-    orchestrator = ShardOrchestrator(
-        plan,
-        settings,
-        policy=policy,
-        mode=mode,
-        n_workers=n_workers,
-        checkpoint_dir=checkpoint_dir,
-    )
-    return orchestrator.run(signatures)
-
-
 __all__ = [
     "QUARANTINE_FILENAME",
     "compute_backoff",
@@ -1194,5 +1120,4 @@ __all__ = [
     "InlineWorkerBackend",
     "ProcessWorkerBackend",
     "ShardOrchestrator",
-    "orchestrated_banded_matrix",
 ]

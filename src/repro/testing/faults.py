@@ -16,7 +16,7 @@ The injectors cover the orchestrator's whole fault matrix:
   backend, or a hard ``os._exit`` for real worker processes);
 * :func:`inject_worker_hang` — a solve that never returns (the inline
   backend reports the attempt as running until the orchestrator kills
-  it);
+  it, as a timeout or as a straggler);
 * :func:`inject_transient_solver_error` — a
   :class:`~repro.exceptions.SolverError` without pair context that
   clears after ``times`` firings (the retry/backoff path);
@@ -202,7 +202,7 @@ def inject_worker_hang(
     Raises :class:`~repro.emd.orchestrator.WorkerHang`, which the inline
     backend models as an attempt that stays running until the
     orchestrator kills it — the deterministic stand-in for a hung LP
-    solve, driving the timeout and straggler re-dispatch paths.
+    solve, driving the timeout and straggler-reclaim paths.
     """
     log = log if log is not None else InjectionLog()
     predicate = match if match is not None else _always

@@ -308,6 +308,20 @@ class TestShardBuild:
         assert capsys.readouterr().out == plain
         assert checkpoint_mtimes(ckpt) == written  # no shard recomputed
 
+    def test_reclaimed_straggler_is_reported(self, npz_stream, capsys):
+        from repro.emd.sharding import ShardPlan
+        from repro.testing import inject_worker_hang, match_first_row
+
+        last_row = ShardPlan.build(12, 6, 6).shards[-1].row_start
+        argv = ["shard-build", str(npz_stream), *BAND_ARGS, "--parallel", "serial",
+                "--workers", "2", "--n-shards", "6", "--shard-timeout", "30"]
+        with inject_worker_hang(times=1, match=match_first_row(last_row)) as log:
+            assert main(argv) == 0
+        assert log.count("hang") == 1
+        err = capsys.readouterr().err
+        assert "recovered faults:" in err
+        assert "stragglers_redispatched=1" in err
+
     def test_checkpoints_of_other_data_are_not_resumed(self, npz_stream, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         other = tmp_path / "other.npz"

@@ -26,7 +26,6 @@ from repro.emd.orchestrator import (
     RetryPolicy,
     ShardOrchestrator,
     compute_backoff,
-    orchestrated_banded_matrix,
 )
 from repro.emd.sharding import (
     EngineSettings,
@@ -75,8 +74,9 @@ def make_orchestrator(
     plan, *, policy=None, checkpoint_dir=None, ground_distance="euclidean", **kwargs
 ):
     # Pin the slot count: the orchestrator defaults to the host CPU
-    # count, and straggler speculation needs a free slot to fire, so the
-    # tests must not depend on the machine they run on.
+    # count, and how many shards run at once decides when enough have
+    # finished to reclaim a straggler, so the tests must not depend on
+    # the machine they run on.
     kwargs.setdefault("n_workers", 8)
     fake = FakeClock()
     orchestrator = ShardOrchestrator(
@@ -139,13 +139,26 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy(shard_timeout=0.0)
         with pytest.raises(ConfigurationError):
-            RetryPolicy(straggler_factor=1.0)
-        with pytest.raises(ConfigurationError):
             RetryPolicy(on_poison_pair="ignore")
         with pytest.raises(ConfigurationError):
             RetryPolicy(poll_interval=0.0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(backoff_factor=0.0)
+        # Non-finite times and fractional counts: a NaN timeout would
+        # never fire and a NaN poll interval would crash time.sleep.
+        for bad in (
+            {"shard_timeout": float("nan")},
+            {"shard_timeout": float("inf")},
+            {"poll_interval": float("nan")},
+            {"poll_interval": float("inf")},
+            {"max_retries": 1.5},
+            {"poison_retries": 1.5},
+        ):
+            with pytest.raises(ConfigurationError):
+                RetryPolicy(**bad)
+        # The straggler threshold is a module constant, not a knob.
+        with pytest.raises(TypeError):
+            RetryPolicy(straggler_factor=1.0)
 
     def test_from_config_reads_detector_fields(self):
         from repro.core import DetectorConfig
@@ -179,11 +192,6 @@ class TestNoFaultParity:
         plan = ShardPlan.build(len(signatures), 5, 3)
         orchestrator, _ = make_orchestrator(plan)
         assert_band_parity(orchestrator.run(signatures), reference_band(signatures, 5))
-
-    def test_convenience_wrapper(self):
-        signatures = histogram_signatures(16, seed=9)
-        band = orchestrated_banded_matrix(signatures, 5, 3, mode="serial")
-        assert_band_parity(band, reference_band(signatures, 5))
 
     def test_signature_count_must_match_plan(self):
         plan = ShardPlan.build(10, 4, 2)
@@ -258,7 +266,7 @@ class TestTimeoutsAndStragglers:
     def test_hung_shard_is_killed_and_retried(self):
         signatures = histogram_signatures(18, seed=2)
         plan = ShardPlan.build(len(signatures), 6, 3)
-        policy = RetryPolicy(shard_timeout=1.0, straggler_factor=None)
+        policy = RetryPolicy(shard_timeout=1.0)
         orchestrator, fake = make_orchestrator(plan, policy=policy)
         with inject_worker_hang(times=1) as log:
             band = orchestrator.run(signatures)
@@ -267,27 +275,57 @@ class TestTimeoutsAndStragglers:
         assert orchestrator.n_retries == 1
         assert_band_parity(band, reference_band(signatures, 6))
 
-    def test_straggler_is_speculatively_redispatched(self):
+    def test_straggler_is_killed_and_redispatched(self):
         signatures = histogram_signatures(30, seed=4)
         plan = ShardPlan.build(len(signatures), 6, 6)
         # Inline backend: completions are instantaneous on the fake
         # clock, so a hang on one shard becomes a straggler as soon as
         # enough siblings have finished and the poll loop has slept.
-        policy = RetryPolicy(straggler_factor=2.0, straggler_min_done=3)
-        orchestrator, fake = make_orchestrator(plan, policy=policy)
+        orchestrator, fake = make_orchestrator(plan)
         with inject_worker_hang(times=1, match=match_first_row(0)) as log:
             band = orchestrator.run(signatures)
         assert log.count("hang") == 1
         assert orchestrator.n_stragglers_redispatched == 1
         assert orchestrator.n_timeouts == 0  # no timeout configured
+        assert orchestrator.n_retries == 0  # reclaiming spends no budget
         assert_band_parity(band, reference_band(signatures, 6))
-        # The hung original is cancelled once the speculative copy wins.
-        assert orchestrator.n_duplicates_cancelled == 1
+
+    def test_saturated_pool_reclaims_stragglers(self):
+        # Both worker slots hang: nothing waits for a free slot, so the
+        # two stragglers are reclaimed long before the 100 s timeout.
+        signatures = histogram_signatures(35, seed=4)
+        plan = ShardPlan.build(len(signatures), 6, 7)
+        hung = [plan.shard(3).row_start, plan.shard(4).row_start]
+        orchestrator, fake = make_orchestrator(
+            plan, policy=RetryPolicy(shard_timeout=100.0), n_workers=2
+        )
+        with inject_worker_hang(times=1, match=match_first_row(hung[0])):
+            with inject_worker_hang(times=1, match=match_first_row(hung[1])):
+                band = orchestrator.run(signatures)
+        assert orchestrator.n_stragglers_redispatched == 2
+        assert orchestrator.n_timeouts == 0
+        assert orchestrator.n_retries == 0
+        assert fake.now < 1.0
+        assert_band_parity(band, reference_band(signatures, 6))
+
+    def test_straggler_reclaim_spends_no_retry_budget(self):
+        signatures = histogram_signatures(30, seed=4)
+        plan = ShardPlan.build(len(signatures), 6, 6)
+        # The timeout is only a backstop: without the reclaim the hang
+        # would time out and, with no budget, abort instead of hanging.
+        policy = RetryPolicy(max_retries=0, shard_timeout=100.0)
+        orchestrator, fake = make_orchestrator(plan, policy=policy)
+        with inject_worker_hang(times=1, match=match_first_row(0)):
+            band = orchestrator.run(signatures)
+        assert orchestrator.n_stragglers_redispatched == 1
+        assert orchestrator.n_retries == 0
+        assert fake.now < 1.0
+        assert_band_parity(band, reference_band(signatures, 6))
 
     def test_timeout_only_kills_overdue_attempts(self):
         signatures = histogram_signatures(18, seed=2)
         plan = ShardPlan.build(len(signatures), 6, 3)
-        policy = RetryPolicy(shard_timeout=1e6, straggler_factor=None)
+        policy = RetryPolicy(shard_timeout=1e6)
         orchestrator, _ = make_orchestrator(plan, policy=policy)
         band = orchestrator.run(signatures)
         assert orchestrator.n_timeouts == 0
