@@ -17,7 +17,10 @@ Three sections:
 
 * **solver** — enforced: the band pairs of a common-support histogram
   sequence solved per-pair vs batched, with a strict 1e-9 parity check
-  on the resulting distances;
+  on the resulting distances, and the same chunks solved once more in
+  reversed order, which must give bit-identical distances (HiGHS's
+  solver is reused from chunk to chunk, so any state it carried over
+  would show here);
 * **engine** — context: the full band build over histogram signatures
   with varying bin occupancy, one ``emd(backend="linprog")`` call per
   pair vs :class:`repro.emd.PairwiseEMDEngine` (stacked LPs grouped by
@@ -36,7 +39,8 @@ In full mode the script exits non-zero unless the batched solver is at
 least ``--threshold`` times faster than the per-pair loop (default 3x)
 and the engine builds the k-means band at least ``KMEANS_SPEEDUP`` (4x)
 times faster than per-pair ``linprog``.  The 1e-9 parity
-gates apply in both modes — exactness is the point of these routes.
+gates and the chunk-order gate apply in both modes — exactness is the
+point of these routes.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from repro.emd import (
 )
 from repro.core import DetectorConfig
 from repro.emd.ground_distance import cross_distance_matrix
+from repro.emd.linprog_batch import chunk_slices
 from repro.signatures import Signature, SignatureBuilder
 
 PARITY_TOL = 1e-9
@@ -165,9 +170,18 @@ def main(argv=None) -> int:
     def batched():
         return solve_emd_linprog_batch(cost, supply, demand).distances
 
+    def reversed_chunks():
+        out = np.empty(n_pairs)
+        pieces = list(chunk_slices(n_pairs, cost.shape[0], cost.shape[1]))
+        for piece in reversed(pieces):
+            out[piece] = solve_emd_linprog_batch(cost, supply[piece], demand[piece]).distances
+        return out, len(pieces)
+
     loop_time, loop_values = timed(per_pair)
     batch_time, batch_values = timed(batched)
+    reversed_values, n_chunks = reversed_chunks()
     max_diff = float(np.abs(loop_values - batch_values).max())
+    order_ok = np.array_equal(reversed_values, batch_values)
     speedup = loop_time / batch_time if batch_time > 0 else float("inf")
 
     print(
@@ -180,6 +194,10 @@ def main(argv=None) -> int:
         ratio = loop_time / elapsed if elapsed > 0 else float("inf")
         print(f"{label:<16}{rate:>12.1f}{elapsed:>10.3f}{ratio:>10.2f}x")
     print(f"max |batched - per-pair| = {max_diff:.2e}")
+    print(
+        f"{n_chunks} chunks in reversed order bit-identical to forward: "
+        f"{'yes' if order_ok else 'NO'}"
+    )
 
     # ------------------------------------------------------------------ #
     # Engine section: band build, per-pair LP vs grouped stacked LPs.
@@ -244,6 +262,7 @@ def main(argv=None) -> int:
             "batched_seconds": batch_time,
             "speedup": speedup,
             "max_parity_diff": worst_diff,
+            "chunk_order_identical": bool(order_ok),
             "engine_lp_seconds": lp_time,
             "engine_batch_seconds": engine_time,
             "engine_speedup": engine_speedup,
@@ -255,8 +274,14 @@ def main(argv=None) -> int:
             "kmeans_threshold": KMEANS_SPEEDUP,
             "threshold_enforced": not args.quick,
         },
-        passed=parity_ok and speed_ok,
+        passed=parity_ok and order_ok and speed_ok,
     )
+    if not order_ok:
+        print(
+            "FAIL: solving the histogram band's chunks in reversed order "
+            "changed its distances"
+        )
+        return 1
     if not parity_ok:
         print(
             f"FAIL: batched and per-pair exact LP disagree by "

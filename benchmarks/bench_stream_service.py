@@ -87,10 +87,10 @@ def stream_config(index, seed):
 def batched_stream_config(index, seed, backend):
     """A stream config for the batched-drain section.
 
-    Histogram signatures on a common grid are the stacked LPs'
-    stacking case: pairs across streams land in shared support groups,
-    so the cross-stream drain runs one stacked solve where the
-    sequential drain runs one per stream.
+    Histogram signatures on one declared grid give many pairs of the
+    same ``(d, K_a, K_b)`` shape across streams, so the cross-stream
+    drain stacks them into a few block-diagonal LP chunks where the
+    sequential drain solves each stream's pairs on their own.
     """
     return DetectorConfig(
         tau=3,

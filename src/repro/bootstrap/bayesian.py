@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .._validation import as_rng, check_positive_int, check_probability
-from .dirichlet import sample_uniform_dirichlet_weights, sample_weighted_dirichlet_weights
+from .dirichlet import weighted_dirichlet_alpha
 from .intervals import ConfidenceInterval, percentile_interval
 
 StatisticOfWeights = Callable[[np.ndarray], float]
@@ -60,11 +60,23 @@ class BayesianBootstrap:
         (``Dirichlet(1,…,1)``) is used; otherwise the weighted variant
         (``Dirichlet(n·π)``, paper Appendix B).
         """
+        return self.weight_sampler(n, base_weights)()
+
+    def weight_sampler(
+        self, n: int, base_weights: Optional[np.ndarray] = None
+    ) -> Callable[[], np.ndarray]:
+        """:meth:`resample_weights` for fixed arguments, validated once.
+
+        Each call of the returned function draws the next ``T`` weight
+        vectors from this bootstrap's generator, exactly as
+        ``resample_weights(n, base_weights)`` would at that point.
+        """
         if base_weights is None:
-            return sample_uniform_dirichlet_weights(n, self.n_replicates, rng=self._rng)
-        return sample_weighted_dirichlet_weights(
-            base_weights, self.n_replicates, rng=self._rng
-        )
+            alpha = np.ones(check_positive_int(n, "n"))
+        else:
+            alpha = weighted_dirichlet_alpha(base_weights)
+        rng, size = self._rng, self.n_replicates
+        return lambda: rng.dirichlet(alpha, size=size)
 
     # ------------------------------------------------------------------ #
     # Statistic replication

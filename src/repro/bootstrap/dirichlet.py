@@ -70,8 +70,22 @@ def sample_weighted_dirichlet_weights(
     numpy.ndarray
         Array of shape ``(size, n)``; each row sums to one.
     """
-    pi = check_weights(base_weights, "base_weights", normalize=True)
+    alpha = weighted_dirichlet_alpha(base_weights, concentration_scale=concentration_scale)
     size = check_positive_int(size, "size")
+    generator = as_rng(rng)
+    return generator.dirichlet(alpha, size=size)
+
+
+def weighted_dirichlet_alpha(
+    base_weights: np.ndarray, *, concentration_scale: float | None = None
+) -> np.ndarray:
+    """The validated Dirichlet parameter ``n · π`` of the weighted bootstrap.
+
+    Exactly the parameter :func:`sample_weighted_dirichlet_weights`
+    draws from, so a caller resampling the same base weights many times
+    can validate them once.
+    """
+    pi = check_weights(base_weights, "base_weights", normalize=True)
     n = pi.shape[0]
     scale = float(n if concentration_scale is None else concentration_scale)
     if scale <= 0:
@@ -80,9 +94,8 @@ def sample_weighted_dirichlet_weights(
     # A Dirichlet parameter of exactly zero (a base weight of zero) would
     # make the corresponding component degenerate at 0, which numpy rejects;
     # floor it at a tiny value so such observations simply get ~zero weight.
-    alpha = np.maximum(alpha, 1e-12)
-    generator = as_rng(rng)
-    return generator.dirichlet(alpha, size=size)
+    floored: np.ndarray = np.maximum(alpha, 1e-12)
+    return floored
 
 
 def dirichlet_moments(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,10 +59,10 @@ def percentile_interval(
     """Equal-tailed percentile interval from bootstrap replicates.
 
     The bounds are the ``α/2`` and ``1 − α/2`` empirical quantiles of the
-    replicated statistic, exactly as in paper Section 4.2.
+    replicated statistic, exactly as in paper Section 4.2, both taken by
+    one :func:`numpy.quantile` call (the same values as two calls).
     """
     values = check_vector(samples, "samples")
     alpha = check_probability(alpha, "alpha")
-    lower = float(np.quantile(values, alpha / 2.0))
-    upper = float(np.quantile(values, 1.0 - alpha / 2.0))
+    lower, upper = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0]).tolist()
     return ConfidenceInterval(lower=lower, upper=upper, level=1.0 - alpha, point=point)

@@ -281,14 +281,11 @@ class DetectorConfig:
                 check_positive_int(self.n_shards, "n_shards")
             if self.history_limit is not None:
                 check_positive_int(self.history_limit, "history_limit")
+            if self.n_workers is not None:
+                check_positive_int(self.n_workers, "n_workers")
+            check_positive_int(self.shard_retries, "shard_retries", minimum=0)
         except ValidationError as exc:
             raise ConfigurationError(str(exc)) from None
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ConfigurationError("n_workers must be a positive integer or None")
-        if self.shard_retries < 0:
-            raise ConfigurationError(
-                f"shard_retries must be a non-negative integer, got {self.shard_retries}"
-            )
         if self.shard_timeout is not None and not (
             np.isfinite(self.shard_timeout) and self.shard_timeout > 0
         ):

@@ -11,8 +11,10 @@ for one inspection point:
    (:class:`~repro.core.scores.LogWindowDistances`);
 2. the base weights and all ``B`` resampled weight vectors are stacked
    into one ``(B + 1, τ)`` / ``(B + 1, τ′)`` matrix pair;
-3. a single :func:`~repro.core.scores.score_batch` call reduces the whole
-   stack with matmul/einsum contractions — no per-replicate Python calls.
+3. one batched score — :func:`~repro.core.scores.score_batch`'s
+   arithmetic, minus its checks on weight rows the engine drew itself —
+   reduces the whole stack with matmul/einsum contractions, with no
+   per-replicate Python calls.
 
 This replaces the seed implementation's loop of ``n_bootstrap`` scalar
 ``compute_score`` calls per inspection point, which re-validated and
@@ -28,10 +30,10 @@ import numpy as np
 
 from .._validation import as_rng
 from ..bootstrap import BayesianBootstrap, ConfidenceInterval, percentile_interval
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, ValidationError
 from ..information import resolve_weights
 from .config import DetectorConfig
-from .scores import LogWindowDistances, WindowDistances, score_batch
+from .scores import LogWindowDistances, WindowDistances, _score_rows
 
 WindowInput = Union[WindowDistances, LogWindowDistances]
 
@@ -73,6 +75,10 @@ class ScoreEngine:
             alpha=config.alpha,
             rng=as_rng(rng if rng is not None else config.random_state),
         )
+        # The base weights are constant, so their Dirichlet parameters
+        # are validated here once, not on every resample.
+        self._draw_ref = self.bootstrap.weight_sampler(config.tau, self.ref_weights)
+        self._draw_test = self.bootstrap.weight_sampler(config.tau_test, self.test_weights)
 
     # ------------------------------------------------------------------ #
     # Window preparation
@@ -82,30 +88,42 @@ class ScoreEngine:
 
         A prebuilt :class:`~repro.core.scores.LogWindowDistances` must have
         been logged under this engine's estimator constants — a mismatch
-        would silently score with the wrong floor/dimension.
+        would silently score with the wrong floor/dimension.  Either kind
+        must span ``τ`` reference and ``τ′`` test bags: the engine scores
+        it with weight rows it drew itself, unchecked.
         """
+        cfg = self.config
+        if (window.n_reference, window.n_test) != (cfg.tau, cfg.tau_test):
+            raise ValidationError(
+                f"window has {window.n_reference} reference and {window.n_test} "
+                f"test bags, but this ScoreEngine scores tau={cfg.tau}, "
+                f"tau_test={cfg.tau_test}"
+            )
         if isinstance(window, LogWindowDistances):
-            if window.config != self.config.estimator:
+            if window.config != cfg.estimator:
                 raise ConfigurationError(
                     "LogWindowDistances was built with estimator constants "
-                    f"{window.config} but this ScoreEngine uses {self.config.estimator}"
+                    f"{window.config} but this ScoreEngine uses {cfg.estimator}"
                 )
             return window
-        return LogWindowDistances.from_window(window, self.config.estimator)
+        return LogWindowDistances.from_window(window, cfg.estimator)
 
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
     def point_score(self, window: WindowInput) -> float:
         """Score of the window under the base (non-resampled) weights."""
-        scores = score_batch(
-            self.config.score,
-            self.log_window(window),
-            self.ref_weights,
-            self.test_weights,
-            inspection_index=self.config.lr_inspection_index,
+        scores = self._scores(
+            self.log_window(window), self.ref_weights[None, :], self.test_weights[None, :]
         )
         return float(scores[0])
+
+    def _scores(
+        self, log_window: LogWindowDistances, ref_w: np.ndarray, test_w: np.ndarray
+    ) -> np.ndarray:
+        """:func:`~repro.core.scores.score_batch` on weight rows this engine drew."""
+        cfg = self.config
+        return _score_rows(cfg.score, log_window, ref_w, test_w, cfg.lr_inspection_index)
 
     def replicate_scores(
         self, window: WindowInput, *, include_point: bool = False
@@ -116,20 +134,13 @@ class ScoreEngine:
         one batched call yields the point score and every replicate from
         the same logged matrices.
         """
-        cfg = self.config
         log_window = self.log_window(window)
-        ref_resampled = self.bootstrap.resample_weights(cfg.tau, self.ref_weights)
-        test_resampled = self.bootstrap.resample_weights(cfg.tau_test, self.test_weights)
+        ref_resampled = self._draw_ref()
+        test_resampled = self._draw_test()
         if include_point:
             ref_resampled = np.vstack([self.ref_weights[None, :], ref_resampled])
             test_resampled = np.vstack([self.test_weights[None, :], test_resampled])
-        return score_batch(
-            cfg.score,
-            log_window,
-            ref_resampled,
-            test_resampled,
-            inspection_index=cfg.lr_inspection_index,
-        )
+        return self._scores(log_window, ref_resampled, test_resampled)
 
     def masked_point_and_interval(self) -> Tuple[float, ConfidenceInterval]:
         """NaN score and interval for a window holding masked distances.
@@ -142,11 +153,12 @@ class ScoreEngine:
         unfaulted run and its scores re-converge bit-for-bit once the
         masked bag has left the window.
         """
-        cfg = self.config
-        self.bootstrap.resample_weights(cfg.tau, self.ref_weights)
-        self.bootstrap.resample_weights(cfg.tau_test, self.test_weights)
+        self._draw_ref()
+        self._draw_test()
         nan = float("nan")
-        return nan, ConfidenceInterval(lower=nan, upper=nan, level=1.0 - cfg.alpha, point=nan)
+        return nan, ConfidenceInterval(
+            lower=nan, upper=nan, level=1.0 - self.config.alpha, point=nan
+        )
 
     def point_and_interval(
         self, window: WindowInput

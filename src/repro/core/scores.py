@@ -34,12 +34,16 @@ from ..information import (
     DEFAULT_CONFIG,
     EstimatorConfig,
     auto_entropy,
-    auto_entropy_batch,
     cross_entropy,
-    cross_entropy_batch,
     information_content,
-    information_content_batch,
     log_distances,
+)
+from ..information.estimators import (
+    _auto_entropy_rows,
+    _check_weight_matrix,
+    _cross_entropy_rows,
+    _information_content_rows,
+    _normalise_rows,
 )
 
 
@@ -301,16 +305,21 @@ def score_symmetric_kl_batch(
     precomputed log blocks.
     """
     ref_w, test_w = _check_weight_batches(ref_weights, test_weights)
+    return _symmetric_kl_rows(
+        log_window,
+        _check_weight_matrix(ref_w, "weights_a", log_window.n_reference),
+        _check_weight_matrix(test_w, "weights_b", log_window.n_test),
+    )
+
+
+def _symmetric_kl_rows(
+    log_window: LogWindowDistances, ref_p: np.ndarray, test_p: np.ndarray
+) -> np.ndarray:
+    """Eq. 17 on row-normalised ``(B, τ)``/``(B, τ′)`` weights, unchecked."""
     config = log_window.config
-    h_cross = cross_entropy_batch(
-        None, ref_w, test_w, config=config, precomputed_log=log_window.cross_log
-    )
-    h_ref = auto_entropy_batch(
-        None, ref_w, config=config, precomputed_log=log_window.ref_log
-    )
-    h_test = auto_entropy_batch(
-        None, test_w, config=config, precomputed_log=log_window.test_log
-    )
+    h_cross = _cross_entropy_rows(log_window.cross_log, ref_p, test_p, config)
+    h_ref = _auto_entropy_rows(log_window.ref_log, ref_p, config)
+    h_test = _auto_entropy_rows(log_window.test_log, test_p, config)
     return h_cross - 0.5 * (h_ref + h_test)
 
 
@@ -333,7 +342,6 @@ def score_likelihood_ratio_batch(
         raise ValidationError(
             f"test_weights has {test_w.shape[1]} columns, expected {log_window.n_test}"
         )
-    config = log_window.config
     k = int(inspection_index)
     if not 0 <= k < log_window.n_test:
         raise ConfigurationError(
@@ -341,16 +349,29 @@ def score_likelihood_ratio_batch(
         )
     if log_window.n_test < 2:
         raise ConfigurationError("the test window needs at least 2 bags for score_LR")
-
-    info_ref = information_content_batch(
-        None, ref_w, config=config, precomputed_log=log_window.cross_log[:, k]
-    )
-    mask = np.arange(log_window.n_test) != k
-    remaining = test_w[:, mask]
+    _check_weight_matrix(ref_w, "set_weights", log_window.n_reference)
+    remaining = test_w[:, np.arange(log_window.n_test) != k]
     if np.any(remaining.sum(axis=1) <= 0):
         raise ValidationError("test weights excluding the inspection bag must have positive mass")
-    info_test = information_content_batch(
-        None, remaining, config=config, precomputed_log=log_window.test_log[mask, k]
+    _check_weight_matrix(remaining, "set_weights", log_window.n_test - 1)
+    return _likelihood_ratio_rows(log_window, ref_w, test_w, k)
+
+
+def _likelihood_ratio_rows(
+    log_window: LogWindowDistances, ref_w: np.ndarray, test_w: np.ndarray, k: int
+) -> np.ndarray:
+    """Eq. 16 on raw ``(B, τ)``/``(B, τ′)`` weight rows, unchecked.
+
+    The test rows are normalised only after the inspection bag is
+    dropped, so ``S_test \\ S_t`` is weighted exactly as Eq. 16 asks.
+    """
+    config = log_window.config
+    mask = np.arange(log_window.n_test) != k
+    info_ref = _information_content_rows(
+        log_window.cross_log[:, k], _normalise_rows(ref_w), config
+    )
+    info_test = _information_content_rows(
+        log_window.test_log[mask, k], _normalise_rows(test_w[:, mask]), config
     )
     return info_ref - info_test
 
@@ -377,3 +398,23 @@ def score_batch(
             log_window, ref_weights, test_weights, inspection_index=inspection_index
         )
     raise ConfigurationError(f"unknown score kind {kind!r}; expected 'kl' or 'lr'")
+
+
+def _score_rows(
+    kind: str,
+    log_window: LogWindowDistances,
+    ref_w: np.ndarray,
+    test_w: np.ndarray,
+    inspection_index: int,
+) -> np.ndarray:
+    """:func:`score_batch` without its weight checks.
+
+    For :class:`~repro.core.score_engine.ScoreEngine`, which draws every
+    weight row itself from a validated configuration: non-negative
+    rows of positive mass, with one column per window bag.  The rows are
+    still normalised, so each score equals :func:`score_batch`'s bit for
+    bit.
+    """
+    if kind == "kl":
+        return _symmetric_kl_rows(log_window, _normalise_rows(ref_w), _normalise_rows(test_w))
+    return _likelihood_ratio_rows(log_window, ref_w, test_w, inspection_index)

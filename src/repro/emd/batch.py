@@ -65,7 +65,7 @@ from .._validation import check_positive_int
 from ..exceptions import ConfigurationError, ReproError, SolverError, ValidationError
 from ..signatures import Signature
 from .distance import _can_use_1d_fast_path
-from .ground_distance import GroundDistance, cross_distance_matrix
+from .ground_distance import GroundDistance, paired_cross_distances
 from .linprog_batch import chunk_slices, solve_emd_linprog_batch
 from .registry import EMD_SOLVERS, PARALLEL_BACKENDS, ParallelBackendName
 
@@ -388,13 +388,17 @@ def _solve_stacked_chunk(args: _StackedJob) -> np.ndarray:
     """One stacked exact LP over a chunk of same-shape pairs (pool-safe).
 
     The chunk's ``(P, K_a, K_b)`` cost tensor is built here, only when
-    the chunk is solved, so a band's costs never sit in memory at once.
+    the chunk is solved, so a band's costs never sit in memory at once,
+    by :func:`~repro.emd.ground_distance.paired_cross_distances`: one
+    ground-distance call per up to 65,536 entries, not one per pair.
     ``members`` are the chunk's :meth:`PairwiseEMDEngine.compute_pairs`
     positions, which a failure is re-raised with.
     """
     members, chunk, ground_distance = args
-    cost = np.stack(
-        [cross_distance_matrix(a.positions, b.positions, ground_distance) for a, b in chunk]
+    cost = paired_cross_distances(
+        np.stack([a.positions for a, _ in chunk]),
+        np.stack([b.positions for _, b in chunk]),
+        ground_distance,
     )
     supply = np.stack([a.weights for a, _ in chunk])
     demand = np.stack([b.weights for _, b in chunk])

@@ -5,11 +5,14 @@ The Earth Mover's Distance is parameterised by a *ground distance*
 signature and ``v_l`` of the other (paper Section 3.2).  This module
 provides the standard choices (Euclidean, squared Euclidean, Manhattan,
 Chebyshev) plus support for arbitrary callables, and computes full cross
-distance matrices in a vectorised way.
+distance matrices in a vectorised way — one pair at a time
+(:func:`cross_distance_matrix`) or for a stack of same-shape pairs in a
+few calls (:func:`paired_cross_distances`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Union
 
 import numpy as np
@@ -25,6 +28,10 @@ GroundDistance = Union[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 GROUND_DISTANCES = ("euclidean", "sqeuclidean", "cityblock", "manhattan", "chebyshev")
 
 _NAMED = GROUND_DISTANCES
+
+#: Cap on the entries one ground-distance call of
+#: :func:`paired_cross_distances` builds (512 KB of float64).
+_MAX_COST_ENTRIES = 65_536
 
 
 def ground_distance_identity(metric: GroundDistance) -> str:
@@ -72,7 +79,9 @@ def resolve_ground_distance(
     """Resolve a metric name or callable into a cross-distance function.
 
     A callable must accept two arrays of shapes ``(K, d)`` and ``(L, d)``
-    and return a ``(K, L)`` matrix of non-negative dissimilarities.
+    and return a ``(K, L)`` matrix of non-negative dissimilarities, each
+    entry depending on its two rows only: the stacked solver evaluates
+    many pairs' positions in one call (:func:`paired_cross_distances`).
     """
     if callable(metric):
         return metric
@@ -109,3 +118,50 @@ def cross_distance_matrix(
     if np.any(dist < 0):
         raise ConfigurationError("ground distances must be non-negative")
     return dist
+
+
+def paired_cross_distances(
+    positions_a: np.ndarray,
+    positions_b: np.ndarray,
+    metric: GroundDistance = "euclidean",
+) -> np.ndarray:
+    """Ground-distance matrices of ``P`` same-shape pairs, in few calls.
+
+    ``positions_a`` is ``(P, K, d)`` and ``positions_b`` is ``(P, L, d)``;
+    entry ``p`` of the ``(P, K, L)`` result is
+    ``cross_distance_matrix(positions_a[p], positions_b[p], metric)``,
+    bit for bit.  Instead of ``P`` calls, the metric runs once on the
+    concatenated positions of up to ``q`` pairs and the ``q`` diagonal
+    ``(K, L)`` blocks are kept.  That is exact because every entry of a
+    cdist metric is computed on its own, and a callable metric must be
+    pairwise too (see :func:`resolve_ground_distance`).  ``q`` is the
+    largest count with ``q² · K · L ≤ 65,536`` entries per call (at least
+    one pair), so a chunk of many tiny pairs never builds a quadratic
+    matrix.  The inputs must be finite and share ``d``; the callers pass
+    validated signature positions.
+    """
+    n_pairs, size_a, dim = positions_a.shape
+    size_b = positions_b.shape[1]
+    func = resolve_ground_distance(metric)
+    step = max(1, math.isqrt(_MAX_COST_ENTRIES // (size_a * size_b)))
+    out = np.empty((n_pairs, size_a, size_b))
+    for start in range(0, n_pairs, step):
+        stop = min(start + step, n_pairs)
+        q = stop - start
+        dist = np.asarray(
+            func(
+                positions_a[start:stop].reshape(q * size_a, dim),
+                positions_b[start:stop].reshape(q * size_b, dim),
+            ),
+            dtype=float,
+        )
+        if dist.shape != (q * size_a, q * size_b):
+            raise ConfigurationError(
+                "ground distance callable returned an array of shape "
+                f"{dist.shape}, expected {(q * size_a, q * size_b)}"
+            )
+        diagonal = np.arange(q)
+        out[start:stop] = dist.reshape(q, size_a, q, size_b)[diagonal, :, diagonal, :]
+    if np.any(out < 0):
+        raise ConfigurationError("ground distances must be non-negative")
+    return out

@@ -31,7 +31,11 @@ matrix or each with its own — into a *single* sparse block-diagonal LP:
   Python work (bound duals, option validation, sparse-format
   conversions) cost more than the solve itself, and only the flows are
   needed.  linprog's acceptance check on the result is kept: optimal
-  status, no NaN, bounds and row residuals within ``sqrt(1e-9) * 10``.
+  status, no NaN, bounds and row residuals within ``sqrt(1e-9) * 10``;
+* the set-up around each solve is paid once: both option sets are
+  built once per process, each thread reuses one HiGHS solver, and the
+  model is passed as NumPy arrays through the array overload of
+  ``passModel``, with no per-element Python lists.
 
 A :class:`~repro.exceptions.SolverError` raised here carries the
 batch-local ``pair_indices`` of every pair stacked into the failing
@@ -40,8 +44,10 @@ chunk, so callers never lose track of which problems were in flight.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Any, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -177,6 +183,45 @@ class _HighsOutcome(NamedTuple):
     objective: float
 
 
+def _bindings() -> Any:
+    """scipy's private HiGHS bindings: the one place this module imports them."""
+    try:
+        from scipy.optimize._highspy import _core as highs
+    except ImportError as exc:
+        raise ImportError(
+            "repro.emd.linprog_batch needs scipy>=1.15, the first release "
+            "that ships the HiGHS bindings scipy.optimize._highspy._core"
+        ) from exc
+    return highs
+
+
+@functools.lru_cache(maxsize=2)
+def _options(presolve: bool) -> Any:
+    """The ``HighsOptions`` of ``linprog(method="highs-ds")``, built once per process."""
+    highs = _bindings()
+    options = highs.HighsOptions()
+    options.presolve = "on" if presolve else "off"
+    options.solver = "simplex"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    return options
+
+
+#: One HiGHS solver per thread, created on its first chunk.  ``passModel``
+#: replaces the previous model and clears the solver's basis and solution,
+#: so a reused solver solves each chunk exactly as a fresh one would.
+_THREAD = threading.local()
+
+
+def _solver() -> Any:
+    solver = getattr(_THREAD, "solver", None)
+    if solver is None:
+        solver = _THREAD.solver = _bindings()._Highs()
+    return solver
+
+
 def _run_highs(
     c: np.ndarray,
     index: np.ndarray,
@@ -188,50 +233,38 @@ def _run_highs(
     """Minimise ``c @ x`` s.t. ``row_lower <= A @ x <= row_upper``, ``x >= 0``.
 
     ``A`` has exactly three unit entries per column, at rows
-    ``index[3 * j : 3 * j + 3]``.  The model and options are those
-    ``linprog(method="highs-ds")`` hands to HiGHS, so the solution is
-    bit-identical to linprog's; this is the one place that touches
-    scipy's private HiGHS bindings.
+    ``index[3 * j : 3 * j + 3]`` (``index`` is int32).  The model and
+    options are those ``linprog(method="highs-ds")`` hands to HiGHS, so
+    the solution is bit-identical to linprog's.  The options are built
+    once per process and the solver once per thread; the model goes in
+    through the bindings' array overload of ``passModel`` (column-wise
+    CSC, ``num_col`` column starts, all columns continuous), with no
+    per-element Python lists.
     """
-    try:
-        from scipy.optimize._highspy import _core as highs
-    except ImportError as exc:
-        raise ImportError(
-            "repro.emd.linprog_batch needs scipy>=1.15, the first release "
-            "that ships the HiGHS bindings scipy.optimize._highspy._core"
-        ) from exc
-
+    highs = _bindings()
     n_cols, n_rows = c.size, row_upper.size
-    lp = highs.HighsLp()
-    lp.num_col_ = n_cols
-    lp.num_row_ = n_rows
-    # The bindings copy Python lists into HiGHS's vectors several times
-    # faster than NumPy arrays (col_cost_ takes the array as is).
-    lp.col_cost_ = c
-    lp.col_lower_ = [0.0] * n_cols
-    lp.col_upper_ = [highs.kHighsInf] * n_cols
-    lp.row_lower_ = row_lower.tolist()
-    lp.row_upper_ = row_upper.tolist()
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = n_cols
-    lp.a_matrix_.num_row_ = n_rows
-    lp.a_matrix_.start_ = list(range(0, index.size + 1, 3))
-    lp.a_matrix_.index_ = index.tolist()
-    lp.a_matrix_.value_ = [1.0] * index.size
-
-    options = highs.HighsOptions()
-    options.presolve = "on" if presolve else "off"
-    options.solver = "simplex"
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-    options.log_to_console = False
-    options.output_flag = False
-
-    solver = highs._Highs()
+    solver = _solver()
     failed = highs.HighsStatus.kError
     if (
-        solver.passOptions(options) == failed
-        or solver.passModel(lp) == failed
+        solver.passOptions(_options(presolve)) == failed
+        or solver.passModel(
+            n_cols,
+            n_rows,
+            index.size,
+            int(highs.MatrixFormat.kColwise),
+            int(highs.ObjSense.kMinimize),
+            0.0,
+            c,
+            np.zeros(n_cols),
+            np.full(n_cols, np.inf),
+            row_lower,
+            row_upper,
+            np.arange(0, index.size, 3, dtype=np.int32),
+            index,
+            np.ones(index.size),
+            np.zeros(n_cols, dtype=np.int32),
+        )
+        == failed
         or solver.run() == failed
         or solver.getModelStatus() != highs.HighsModelStatus.kOptimal
     ):

@@ -29,8 +29,9 @@ inspection point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,6 +110,16 @@ def _check_weight_matrix(weights: np.ndarray, name: str, n: int) -> np.ndarray:
     return arr / totals
 
 
+def _normalise_rows(weights: np.ndarray) -> np.ndarray:
+    """Row-normalise a ``(B, n)`` batch the caller built and validated.
+
+    The same arithmetic as :func:`_check_weight_matrix` without its
+    checks: the private entry of callers that drew the weights
+    themselves (:class:`~repro.core.score_engine.ScoreEngine`).
+    """
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 def _resolve_log(
     distances: Optional[np.ndarray],
     precomputed_log: Optional[np.ndarray],
@@ -172,6 +183,13 @@ def information_content_batch(
     """
     log_dist = _resolve_log(distances_to_set, precomputed_log, config, "distances_to_set").ravel()
     weights = _check_weight_matrix(set_weights, "set_weights", log_dist.shape[0])
+    return _information_content_rows(log_dist, weights, config)
+
+
+def _information_content_rows(
+    log_dist: np.ndarray, weights: np.ndarray, config: EstimatorConfig
+) -> np.ndarray:
+    """:func:`information_content_batch` on normalised, validated rows."""
     return config.constant + config.dimension * (weights @ log_dist)
 
 
@@ -221,12 +239,36 @@ def auto_entropy_batch(
     The ``(n, n)`` distance matrix is clipped and logged once; the ``j ≠ i``
     restriction is applied by zeroing the diagonal of the log matrix, and
     all ``B`` double sums reduce to a single einsum
-    ``Σ_ij [ψ_i/(1−ψ_i)] ψ_j log d_ij``.
+    ``Σ_ij [ψ_i/(1−ψ_i)] ψ_j log d_ij``, whose contraction path is
+    searched once per ``(B, n)`` shape and then reused.
     """
     log_dist = _resolve_log(pairwise_distances, precomputed_log, config, "pairwise_distances")
     if log_dist.ndim != 2 or log_dist.shape[0] != log_dist.shape[1]:
         raise ValidationError("pairwise_distances must be a square matrix")
     w = _check_weight_matrix(weights, "weights", log_dist.shape[0])
+    return _auto_entropy_rows(log_dist, w, config)
+
+
+_AUTO_ENTROPY = "bi,ij,bj->b"
+
+
+@functools.lru_cache(maxsize=64)
+def _auto_entropy_path(n_rows: int, n: int) -> Tuple[Any, ...]:
+    """numpy's ``optimize=True`` contraction path for one operand shape.
+
+    The path depends on nothing but the shapes, and searching it costs
+    more than the contraction itself at bootstrap sizes; executing the
+    cached path gives ``np.einsum(..., optimize=True)`` bit for bit.
+    """
+    ratio = np.empty((n_rows, n))
+    path = np.einsum_path(_AUTO_ENTROPY, ratio, np.empty((n, n)), ratio, optimize=True)[0]
+    return tuple(path)  # immutable: every caller shares the cached value
+
+
+def _auto_entropy_rows(
+    log_dist: np.ndarray, w: np.ndarray, config: EstimatorConfig
+) -> np.ndarray:
+    """:func:`auto_entropy_batch` on a square log matrix and normalised rows."""
     denom = 1.0 - w
     # As in the scalar path: a weight of exactly 1 only occurs for a
     # singleton set, where the double sum is empty; avoid dividing by zero.
@@ -235,7 +277,7 @@ def auto_entropy_batch(
     off_diag_log = log_dist.copy()
     np.fill_diagonal(off_diag_log, 0.0)
     return config.constant + config.dimension * np.einsum(
-        "bi,ij,bj->b", ratio, off_diag_log, w, optimize=True
+        _AUTO_ENTROPY, ratio, off_diag_log, w, optimize=_auto_entropy_path(*w.shape)
     )
 
 
@@ -292,6 +334,13 @@ def cross_entropy_batch(
             f"weights_a ({wa.shape[0]} rows) and weights_b ({wb.shape[0]} rows) "
             "must have the same batch size"
         )
+    return _cross_entropy_rows(log_dist, wa, wb, config)
+
+
+def _cross_entropy_rows(
+    log_dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, config: EstimatorConfig
+) -> np.ndarray:
+    """:func:`cross_entropy_batch` on normalised, validated row pairs."""
     return config.constant + config.dimension * np.sum((wa @ log_dist) * wb, axis=1)
 
 

@@ -9,13 +9,22 @@ centres are bin centres.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+import math
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .._validation import check_positive_int
 from ..exceptions import ValidationError
 from .base import BaseQuantizer, QuantizationResult
+
+#: Grids up to this many bins count occupancy with one ``np.bincount``;
+#: larger ones (``bins ** d`` grows fast with the dimension) sort the
+#: bag's bin indices with ``np.unique`` instead of allocating the grid.
+_MAX_BINCOUNT_BINS = 4_096
+
+#: Per-dimension bin edges and bin centres.
+_Grid = Tuple[List[np.ndarray], List[np.ndarray]]
 
 
 class HistogramQuantizer(BaseQuantizer):
@@ -51,8 +60,31 @@ class HistogramQuantizer(BaseQuantizer):
         self.bins = bins
         self.range = range
         self.drop_empty = bool(drop_empty)
+        self._grid: Optional[Tuple[int, object, object, _Grid]] = None
 
-    def _resolve_edges(self, data: np.ndarray) -> list[np.ndarray]:
+    def _resolve_grid(self, data: np.ndarray) -> _Grid:
+        """Bin edges and bin centres per dimension.
+
+        With a declared ``range`` they do not depend on the data, so they
+        are resolved once per dimensionality and reused by later fits
+        (until ``bins`` or ``range`` is reassigned).
+        """
+        d = data.shape[1]
+        cached = self._grid
+        if (
+            self.range is not None
+            and cached is not None
+            and cached[0] == d
+            and cached[1] is self.bins
+            and cached[2] is self.range
+        ):
+            return cached[3]
+        grid = self._make_grid(data)
+        if self.range is not None:
+            self._grid = (d, self.bins, self.range, grid)
+        return grid
+
+    def _make_grid(self, data: np.ndarray) -> _Grid:
         d = data.shape[1]
         if isinstance(self.bins, (int, np.integer)):
             bins_per_dim = [int(self.bins)] * d
@@ -83,28 +115,33 @@ class HistogramQuantizer(BaseQuantizer):
             if high <= low:
                 high = low + 1.0
             edges.append(np.linspace(low, high, nb + 1))
-        return edges
+        return edges, [0.5 * (e[:-1] + e[1:]) for e in edges]
 
     def fit(self, data: np.ndarray) -> QuantizationResult:
         data = self._validate(data)
-        n, d = data.shape
-        edges = self._resolve_edges(data)
+        d = data.shape[1]
+        edges, centers_per_dim = self._resolve_grid(data)
         bins_per_dim = [len(e) - 1 for e in edges]
 
-        # Digitise each dimension into its bin index, clipping to the grid.
-        indices = np.empty((n, d), dtype=int)
-        for j in range(d):
-            idx = np.digitize(data[:, j], edges[j][1:-1], right=False)
-            indices[:, j] = np.clip(idx, 0, bins_per_dim[j] - 1)
+        # Digitise each dimension into its bin index; the inner edges
+        # put points outside the grid into its first or last bin.
+        indices = [np.digitize(data[:, j], edges[j][1:-1], right=False) for j in range(d)]
+        flat = np.ravel_multi_index(indices, bins_per_dim)
+        # Occupied bins in ascending flat order, so atoms come out in
+        # the same order from both branches.
+        n_bins = math.prod(bins_per_dim)
+        if n_bins <= _MAX_BINCOUNT_BINS:
+            all_counts = np.bincount(flat, minlength=n_bins)
+            occupied = np.flatnonzero(all_counts)
+            counts = all_counts[occupied]
+            rank = np.zeros(n_bins, dtype=np.intp)
+            rank[occupied] = np.arange(occupied.size)
+            labels = rank[flat]
+        else:
+            occupied, labels, counts = np.unique(flat, return_inverse=True, return_counts=True)
 
-        flat = np.ravel_multi_index(indices.T, bins_per_dim)
-        unique_flat, labels, counts = np.unique(flat, return_inverse=True, return_counts=True)
-
-        centers_per_dim = [0.5 * (e[:-1] + e[1:]) for e in edges]
-        multi = np.array(np.unravel_index(unique_flat, bins_per_dim)).T
-        centers = np.column_stack(
-            [centers_per_dim[j][multi[:, j]] for j in range(d)]
-        )
+        multi = np.unravel_index(occupied, bins_per_dim)
+        centers = np.column_stack([centers_per_dim[j][multi[j]] for j in range(d)])
 
         result = QuantizationResult(
             centers=centers,

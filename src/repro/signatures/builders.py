@@ -101,6 +101,9 @@ class SignatureBuilder:
         self.histogram_range = histogram_range
         self.random_state = random_state
         self.quantizer = quantizer
+        # Histograms draw no random numbers, so one quantiser (and the
+        # grid it resolves for a declared range) serves every bag.
+        self._histogram: Optional[HistogramQuantizer] = None
 
     def _make_quantizer(self) -> Optional[Quantizer]:
         if self.quantizer is not None:
@@ -112,7 +115,9 @@ class SignatureBuilder:
         if self.method == "lvq":
             return LearningVectorQuantizer(self.n_clusters, random_state=self.random_state)
         if self.method == "histogram":
-            return HistogramQuantizer(self.bins, range=self.histogram_range)
+            if self._histogram is None:
+                self._histogram = HistogramQuantizer(self.bins, range=self.histogram_range)
+            return self._histogram
         return None  # "exact"
 
     def _represents_exactly(self, data: np.ndarray) -> bool:

@@ -94,6 +94,19 @@ class TestConfidenceInterval:
         assert ci.upper == pytest.approx(95.0)
         assert ci.level == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
+    @pytest.mark.parametrize("kind", ["random", "tied", "short"])
+    def test_percentile_interval_equals_two_quantile_calls(self, kind, alpha):
+        rng = np.random.default_rng(17)
+        samples = {
+            "random": rng.normal(size=200),
+            "tied": rng.integers(0, 4, size=201).astype(float),
+            "short": np.array([0.3, -1.2]),
+        }[kind]
+        ci = percentile_interval(samples, alpha=alpha)
+        assert ci.lower == float(np.quantile(samples, alpha / 2.0))
+        assert ci.upper == float(np.quantile(samples, 1.0 - alpha / 2.0))
+
     def test_percentile_interval_point_carried(self):
         ci = percentile_interval(np.array([1.0, 2.0, 3.0]), point=2.0)
         assert ci.point == pytest.approx(2.0)
@@ -133,6 +146,19 @@ class TestBayesianBootstrap:
         bootstrap = BayesianBootstrap(2000, rng=8)
         weights = bootstrap.resample_weights(3, base_weights=np.array([0.7, 0.2, 0.1]))
         assert weights.mean(axis=0)[0] > weights.mean(axis=0)[2]
+
+    @pytest.mark.parametrize("base", [None, np.array([0.5, 0.3, 0.2, 0.0])])
+    def test_weight_sampler_draws_what_resample_weights_draws(self, base):
+        sampler = BayesianBootstrap(30, rng=9).weight_sampler(4, base)
+        reference = BayesianBootstrap(30, rng=9)
+        for _ in range(3):
+            assert np.array_equal(sampler(), reference.resample_weights(4, base))
+
+    def test_weight_sampler_validates_once_up_front(self):
+        with pytest.raises(ValidationError):
+            BayesianBootstrap(30, rng=0).weight_sampler(3, np.array([1.0, -1.0, 0.5]))
+        with pytest.raises(ValidationError):
+            BayesianBootstrap(30, rng=0).weight_sampler(0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValidationError):

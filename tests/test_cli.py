@@ -189,7 +189,7 @@ class TestConfigFlags:
         [
             (["--tau", "1"], "tau must be at least 2"),
             (["serve-replay", "--alpha", "2"], "alpha must lie strictly between"),
-            (["shard-build", "--retries", "-1"], "shard_retries must be a non-negative"),
+            (["shard-build", "--retries", "-1"], "shard_retries must be >= 0"),
         ],
         ids=["detect-tau", "serve-alpha", "shard-retries"],
     )

@@ -49,6 +49,27 @@ class TestDetectorConfig:
         with pytest.raises(ConfigurationError):
             DetectorConfig(alpha=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shard_retries", 1.5),
+            ("shard_retries", True),
+            ("shard_retries", -1),
+            ("n_workers", 1.5),
+            ("n_workers", True),
+            ("n_workers", 0),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        # A fractional retry budget used to be truncated silently by
+        # RetryPolicy.from_config, and a fractional pool size accepted.
+        with pytest.raises(ConfigurationError, match=field):
+            DetectorConfig(**{field: value})
+
+    def test_integer_counts_accepted(self):
+        config = DetectorConfig(shard_retries=np.int64(0), n_workers=np.int64(2))
+        assert (config.shard_retries, config.n_workers) == (0, 2)
+
 
 class TestDetectionResultContainer:
     def _points(self):

@@ -14,8 +14,10 @@ from repro.emd import (
     resolve_ground_distance,
     wasserstein_1d,
 )
+from repro.emd.ground_distance import GROUND_DISTANCES, paired_cross_distances
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.signatures import Signature
+from scipy.spatial.distance import cdist
 
 
 def sig(points, weights, label=None):
@@ -62,6 +64,70 @@ class TestGroundDistances:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             cross_distance_matrix(np.zeros((2, 1)), np.zeros((3, 2)))
+
+
+def _manhattan_callable(a, b):
+    """A pairwise callable metric: every entry computed on its own."""
+    return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+
+
+class TestPairedCrossDistances:
+    """A stacked chunk's costs equal its per-pair cost matrices, bit for bit."""
+
+    @pytest.mark.parametrize("metric", [*GROUND_DISTANCES, _manhattan_callable])
+    @pytest.mark.parametrize("dim", [1, 2, 10])
+    @pytest.mark.parametrize("n_pairs,size_a,size_b", [(1, 1, 1), (7, 3, 5), (32, 8, 8), (9, 16, 11)])
+    def test_equals_stacked_per_pair_matrices(self, metric, dim, n_pairs, size_a, size_b):
+        rng = np.random.default_rng(1000 * dim + 10 * size_a + size_b)
+        scale = rng.choice([1e-3, 1.0, 1e3], size=(n_pairs, 1, 1))
+        positions_a = rng.normal(size=(n_pairs, size_a, dim)) * scale
+        positions_b = rng.normal(size=(n_pairs, size_b, dim))
+        expected = np.stack([
+            cross_distance_matrix(a, b, metric) for a, b in zip(positions_a, positions_b)
+        ])
+        got = paired_cross_distances(positions_a, positions_b, metric)
+        assert np.array_equal(got, expected)
+
+    def test_many_tiny_pairs_are_split_into_bounded_calls(self):
+        rng = np.random.default_rng(3)
+        positions_a = rng.normal(size=(2_048, 1, 2))
+        positions_b = rng.normal(size=(2_048, 1, 2))
+        calls = []
+
+        def recording(a, b):
+            calls.append(a.shape[0] * b.shape[0])
+            return cdist(a, b)
+
+        got = paired_cross_distances(positions_a, positions_b, recording)
+        expected = np.stack([
+            cross_distance_matrix(a, b, "euclidean") for a, b in zip(positions_a, positions_b)
+        ])
+        assert np.array_equal(got, expected)
+        # 256 pairs per call: 256² entries, never one 2,048² matrix.
+        assert calls == [65_536] * 8
+
+    def test_pair_larger_than_the_cap_gets_its_own_call(self):
+        rng = np.random.default_rng(4)
+        positions_a = rng.normal(size=(3, 300, 2))
+        positions_b = rng.normal(size=(3, 300, 2))
+        calls = []
+
+        def recording(a, b):
+            calls.append((a.shape[0], b.shape[0]))
+            return cdist(a, b)
+
+        paired_cross_distances(positions_a, positions_b, recording)
+        assert calls == [(300, 300)] * 3
+
+    def test_callable_with_wrong_shape_rejected(self):
+        bad = lambda a, b: np.ones((1, 1))
+        with pytest.raises(ConfigurationError):
+            paired_cross_distances(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)), bad)
+
+    def test_negative_distances_rejected(self):
+        negative = lambda a, b: -np.ones((a.shape[0], b.shape[0]))
+        with pytest.raises(ConfigurationError):
+            paired_cross_distances(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)), negative)
 
 
 class TestWasserstein1D:

@@ -325,6 +325,74 @@ class TestHistogramQuantizer:
         with pytest.raises(ValidationError):
             HistogramQuantizer(bins=3, range=[0.0, 1.0, 2.0]).fit(data)
 
+    @staticmethod
+    def _reference_fit(data, bins, value_range):
+        """Per-dimension digitise, then ``np.unique`` over the flat bin index."""
+        data = np.asarray(data, dtype=float).reshape(len(data), -1)
+        d = data.shape[1]
+        bins = [bins] * d if np.isscalar(bins) else list(bins)
+        if value_range is None:
+            ranges = [(data[:, j].min(), data[:, j].max()) for j in range(d)]
+            ranges = [(low, high if high > low else low + 1.0) for low, high in ranges]
+        else:
+            spec = np.asarray(value_range, dtype=float).reshape(-1, 2)
+            ranges = [tuple(spec[0])] * d if spec.shape[0] == 1 else [tuple(r) for r in spec]
+        edges = [np.linspace(low, high, nb + 1) for (low, high), nb in zip(ranges, bins)]
+        indices = np.column_stack([
+            np.clip(np.digitize(data[:, j], edges[j][1:-1]), 0, bins[j] - 1) for j in range(d)
+        ])
+        flat = np.ravel_multi_index(indices.T, bins)
+        unique_flat, labels, counts = np.unique(flat, return_inverse=True, return_counts=True)
+        multi = np.array(np.unravel_index(unique_flat, bins)).T
+        centers = np.column_stack([
+            (0.5 * (edges[j][:-1] + edges[j][1:]))[multi[:, j]] for j in range(d)
+        ])
+        inertia = float(np.sum((data - centers[labels]) ** 2))
+        return centers, counts.astype(float), labels, inertia
+
+    @pytest.mark.parametrize(
+        "bins, value_range, dim",
+        [
+            (4, (-3.0, 6.0), 2),          # the shared-grid fleet setting
+            ([3, 5], ((0.0, 1.0), (-2.0, 2.0)), 2),
+            (10, (0.0, 1.0), 1),
+            (10, (-1.0, 1.0), 4),         # 10,000 bins: the np.unique branch
+        ],
+    )
+    def test_fit_matches_unique_reference(self, rng, bins, value_range, dim):
+        quantizer = HistogramQuantizer(bins=bins, range=value_range)
+        spec = np.asarray(value_range, dtype=float).reshape(-1, 2)
+        inner_edges = np.linspace(spec[0, 0], spec[0, 1], (bins if np.isscalar(bins) else bins[0]) + 1)
+        bags = [
+            rng.normal(1.0, 2.0, size=(100, dim)),     # some points outside the range
+            np.tile(inner_edges[1:-1], dim)[: 3 * dim].reshape(-1, dim),  # on inner edges
+            np.full((5, dim), spec[0, 0] + 1e-9),      # a one-bin bag
+            np.array([[spec[0, 0] - 10.0] * dim, [spec[0, 1] + 10.0] * dim]),  # outside only
+        ]
+        for bag in bags:
+            result = quantizer.fit(bag)  # one quantiser: the cached grid is reused
+            centers, counts, labels, inertia = self._reference_fit(bag, bins, value_range)
+            assert np.array_equal(result.centers, centers)
+            assert np.array_equal(result.counts, counts)
+            assert np.array_equal(result.labels, labels)
+            assert result.inertia == inertia
+
+    def test_fit_without_range_matches_unique_reference(self, rng):
+        quantizer = HistogramQuantizer(bins=4)
+        for bag in (rng.normal(size=(100, 2)), rng.normal(size=(7, 3)), np.ones((3, 2))):
+            result = quantizer.fit(bag)
+            centers, counts, labels, inertia = self._reference_fit(bag, 4, None)
+            assert np.array_equal(result.centers, centers)
+            assert np.array_equal(result.counts, counts)
+            assert np.array_equal(result.labels, labels)
+            assert result.inertia == inertia
+
+    def test_reassigned_range_is_not_served_from_the_cache(self):
+        quantizer = HistogramQuantizer(bins=2, range=(0.0, 2.0))
+        assert np.array_equal(quantizer.fit(np.array([0.5])).centers, [[0.5]])
+        quantizer.range = (0.0, 4.0)
+        assert np.array_equal(quantizer.fit(np.array([0.5])).centers, [[1.0]])
+
 
 class TestLearningVectorQuantizer:
     def test_recovers_three_blobs(self, rng):

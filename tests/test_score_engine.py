@@ -136,6 +136,23 @@ class TestBatchedEstimators:
         with pytest.raises(ValidationError):
             cross_entropy_batch(dist, wa[:, :3], wb[:3])
 
+    #: numpy's path search contracts ``(0, 2)`` first at n = 1 and ``(0, 1)``
+    #: otherwise, so this grid exercises both cached contraction paths.
+    @pytest.mark.parametrize("n_rows", [1, 2, 50, 201, 600])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 11])
+    def test_auto_entropy_batch_equals_searched_einsum(self, n_rows, n):
+        rng = np.random.default_rng(1000 * n_rows + n)
+        dist = symmetric_distances(rng, n)
+        weights = rng.dirichlet(np.ones(n), size=n_rows)
+        w = weights / weights.sum(axis=1, keepdims=True)
+        denom = np.where(1.0 - w <= 0, np.inf, 1.0 - w)
+        off_diag_log = log_distances(dist)
+        np.fill_diagonal(off_diag_log, 0.0)
+        expected = np.einsum("bi,ij,bj->b", w / denom, off_diag_log, w, optimize=True)
+        assert np.array_equal(auto_entropy_batch(dist, weights), expected)
+        # A second call reuses the cached path and still agrees.
+        assert np.array_equal(auto_entropy_batch(dist, weights), expected)
+
 
 class TestLogWindowDistances:
     def test_from_window_clips_and_logs_once(self, rng):
@@ -274,6 +291,48 @@ class TestScoreEngine:
         stale = LogWindowDistances.from_window(window)  # default constants
         with pytest.raises(ConfigurationError):
             engine.point_and_interval(stale)
+
+    @pytest.mark.parametrize("score,weighting,tau,tau_test", score_weighting_windows)
+    def test_engine_scores_equal_score_batch_bit_for_bit(self, score, weighting, tau, tau_test):
+        # The engine skips score_batch's checks on weight rows it drew
+        # itself; the arithmetic must stay exactly score_batch's.
+        window = random_window(np.random.default_rng(11), tau, tau_test)
+        config = DetectorConfig(
+            tau=tau, tau_test=tau_test, score=score, weighting=weighting,
+            n_bootstrap=50, lr_inspection_index=tau_test - 1,
+        )
+        engine = ScoreEngine(config, rng=np.random.default_rng(5))
+        got = engine.replicate_scores(window, include_point=True)
+
+        bootstrap = BayesianBootstrap(50, rng=np.random.default_rng(5))
+        ref_w = np.vstack([engine.ref_weights, bootstrap.resample_weights(tau, engine.ref_weights)])
+        test_w = np.vstack(
+            [engine.test_weights, bootstrap.resample_weights(tau_test, engine.test_weights)]
+        )
+        expected = score_batch(
+            score,
+            LogWindowDistances.from_window(window, config.estimator),
+            ref_w,
+            test_w,
+            inspection_index=config.lr_inspection_index,
+        )
+        assert np.array_equal(got, expected)
+        point = score_batch(
+            score,
+            LogWindowDistances.from_window(window, config.estimator),
+            engine.ref_weights,
+            engine.test_weights,
+            inspection_index=config.lr_inspection_index,
+        )
+        assert engine.point_score(window) == point[0]
+
+    def test_window_of_other_size_rejected(self, rng):
+        engine = ScoreEngine(DetectorConfig(tau=3, tau_test=3, n_bootstrap=20), rng=0)
+        with pytest.raises(ValidationError, match="tau=3"):
+            engine.point_and_interval(random_window(rng, 4, 3))
+        log_window = LogWindowDistances.from_window(random_window(rng, 3, 2))
+        with pytest.raises(ValidationError, match="tau_test=3"):
+            engine.point_and_interval(log_window)
 
     def test_replicate_scores_shape(self, rng):
         config = DetectorConfig(tau=3, tau_test=3, n_bootstrap=25, random_state=1)

@@ -19,6 +19,9 @@ that matrix:
   solve.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -458,6 +461,78 @@ class TestStackedModelMatchesLinprog:
             )
             assert np.array_equal(result.flows[members], expected)
         assert not result.flows[[5, 11]].any()
+
+
+class TestReusedHighsSolver:
+    """The per-thread HiGHS solver carries nothing from one chunk to the next."""
+
+    @staticmethod
+    def _chunk(seed, n_pairs=12, m=4, n=5):
+        rng = np.random.default_rng(seed)
+        cost = rng.uniform(0.1, 3.0, size=(n_pairs, m, n))
+        supply = rng.uniform(0.5, 3.0, size=(n_pairs, m))
+        demand = rng.uniform(0.5, 3.0, size=(n_pairs, n))
+        return cost, supply, demand
+
+    @staticmethod
+    def _flows(cost, supply, demand):
+        return solve_emd_linprog_batch(cost, supply, demand, return_flows=True).flows
+
+    def _fresh_flows(self, cost, supply, demand):
+        """The flows of a newly created solver: the first solve on a new thread."""
+        out = {}
+        thread = threading.Thread(target=lambda: out.update(flows=self._flows(cost, supply, demand)))
+        thread.start()
+        thread.join()
+        return out["flows"]
+
+    def test_failed_solve_leaves_no_state(self):
+        from repro.emd.linprog_batch import _run_highs
+
+        chunk = self._chunk(1)
+        self._flows(*self._chunk(2))  # the solver has solved something already
+        # One column with a unit entry in each of three rows; row 0 asks
+        # for 2 <= x <= 1, so the model is infeasible.
+        c = np.ones(1)
+        index = np.array([0, 1, 2], dtype=np.int32)
+        row_lower = np.array([2.0, -np.inf, -np.inf])
+        row_upper = np.array([1.0, 5.0, 5.0])
+        for presolve in (False, True):
+            outcome = _run_highs(c, index, row_lower, row_upper, presolve=presolve)
+            assert not outcome.optimal
+        assert np.array_equal(self._flows(*chunk), self._fresh_flows(*chunk))
+
+    def test_concurrent_threads_match_their_serial_results(self):
+        n_threads = 4  # more threads than the CI runners' cores
+        chunks = [self._chunk(seed) for seed in range(10, 10 + 2 * n_threads)]
+        serial = [self._flows(*chunk) for chunk in chunks]
+        barrier = threading.Barrier(n_threads)
+        mismatches = []
+
+        def worker(offset):
+            barrier.wait()
+            try:
+                for round_ in range(50):
+                    k = 2 * offset + round_ % 2
+                    if not np.array_equal(self._flows(*chunks[k]), serial[k]):
+                        mismatches.append((offset, round_, k))
+            except Exception as exc:  # a garbled model fails the solve
+                mismatches.append((offset, repr(exc)))
+
+        # Switch threads as often as the interpreter allows, so the
+        # threads' set-up, solve and read-back calls interleave.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
 
 class TestBatchValidation:
