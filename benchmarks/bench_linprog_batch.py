@@ -28,7 +28,12 @@ Three sections:
 * **kmeans** — enforced: the band of a default-config detector
   (k-means signatures, K=8, ``τ + τ′ = 10``) built by the engine vs one
   ``emd(backend="linprog")`` call per pair.  Every support is distinct,
-  so this is the route the detector takes by default.
+  so this is the route the detector takes by default;
+* **kmeans-1d** — enforced: the same for 1-D bags of unequal sizes (the
+  paper's Fig. 1 setting), whose signatures carry unequal masses.  The
+  engine must put none of these pairs on the stacked LP (every one takes
+  an LP-free 1-D solver), match the per-pair ``linprog`` band, and give
+  the same band bit for bit when every pair is passed swapped.
 
 Run standalone::
 
@@ -39,8 +44,8 @@ In full mode the script exits non-zero unless the batched solver is at
 least ``--threshold`` times faster than the per-pair loop (default 3x)
 and the engine builds the k-means band at least ``KMEANS_SPEEDUP`` (4x)
 times faster than per-pair ``linprog``.  The 1e-9 parity
-gates and the chunk-order gate apply in both modes — exactness is the
-point of these routes.
+gates, the chunk-order gate and the 1-D route and swap gates apply in
+both modes — exactness is the point of these routes.
 """
 
 from __future__ import annotations
@@ -95,12 +100,20 @@ def make_histogram_signatures(n_bags, side, dim, seed):
     return signatures
 
 
-def make_kmeans_signatures(n_bags, bag_size, seed):
-    """Default-config k-means signatures of 2-D bags with a mean shift."""
+def make_kmeans_signatures(n_bags, bag_size, seed, dim=2):
+    """Default-config k-means signatures of bags with a mean shift.
+
+    ``bag_size`` is one size for every bag, or a ``(low, high)`` range
+    each bag's size is drawn from.
+    """
     config = DetectorConfig()
     rng = np.random.default_rng(seed)
+    if isinstance(bag_size, tuple):
+        sizes = rng.integers(*bag_size, size=n_bags)
+    else:
+        sizes = np.full(n_bags, bag_size)
     bags = [
-        rng.normal(0.0 if i < n_bags // 2 else 1.5, 1.0, size=(bag_size, 2))
+        rng.normal(0.0 if i < n_bags // 2 else 1.5, 1.0, size=(int(sizes[i]), dim))
         for i in range(n_bags)
     ]
     builder = SignatureBuilder(
@@ -238,14 +251,40 @@ def main(argv=None) -> int:
     print(
         f"\nkmeans: default-config band, {kmeans_bags} bags, width {span} "
         f"({auto_engine.n_evaluations} pairs: {auto_engine.n_linprog_batched} "
-        f"stacked, {auto_engine.n_fast_path} closed-form)"
+        f"stacked, {auto_engine.n_fast_path} LP-free)"
     )
     print(f"{'route':<16}{'seconds':>10}{'speed-up':>10}")
     print(f"{'per-pair emd':<16}{per_pair_time:>10.3f}{1.0:>10.2f}x")
     print(f"{'engine':<16}{auto_time:>10.3f}{kmeans_speedup:>10.2f}x")
     print(f"max band |engine - per-pair| = {kmeans_diff:.2e}")
 
-    worst_diff = max(max_diff, engine_diff, kmeans_diff)
+    # ------------------------------------------------------------------ #
+    # k-means 1-D section: unequal masses, every pair off the LP.
+    # ------------------------------------------------------------------ #
+    signatures_1d, span = make_kmeans_signatures(kmeans_bags, (60, 141), args.seed, dim=1)
+    per_pair_1d_time, lp_band_1d = timed(lambda: per_pair_band(signatures_1d, span))
+    engine_1d = PairwiseEMDEngine()
+    engine_1d_time, band_1d = timed(lambda: engine_1d.banded_matrix(signatures_1d, span))
+    rows, cols = band_1d.pair_indices()
+    swapped = PairwiseEMDEngine().compute_pairs(
+        [(signatures_1d[j], signatures_1d[i]) for i, j in zip(rows.tolist(), cols.tolist())]
+    )
+    swap_ok = np.array_equal(swapped, band_1d.band[rows, cols - rows - 1])
+    route_ok = engine_1d.n_linprog_batched == 0
+    diff_1d = float(np.nanmax(np.abs(lp_band_1d.band - band_1d.band)))
+    speedup_1d = per_pair_1d_time / engine_1d_time if engine_1d_time > 0 else float("inf")
+    print(
+        f"\nkmeans-1d: unequal-size 1-D bags, {kmeans_bags} bags, width {span} "
+        f"({engine_1d.n_evaluations} pairs: {engine_1d.n_linprog_batched} "
+        f"stacked, {engine_1d.n_fast_path} LP-free)"
+    )
+    print(f"{'route':<16}{'seconds':>10}{'speed-up':>10}")
+    print(f"{'per-pair emd':<16}{per_pair_1d_time:>10.3f}{1.0:>10.2f}x")
+    print(f"{'engine':<16}{engine_1d_time:>10.3f}{speedup_1d:>10.2f}x")
+    print(f"max band |engine - per-pair| = {diff_1d:.2e}")
+    print(f"band with every pair swapped bit-identical: {'yes' if swap_ok else 'NO'}")
+
+    worst_diff = max(max_diff, engine_diff, kmeans_diff, diff_1d)
     parity_ok = worst_diff <= PARITY_TOL
     speed_ok = args.quick or (
         speedup >= args.threshold and kmeans_speedup >= KMEANS_SPEEDUP
@@ -270,12 +309,26 @@ def main(argv=None) -> int:
             "kmeans_linprog_seconds": per_pair_time,
             "kmeans_auto_seconds": auto_time,
             "kmeans_speedup": kmeans_speedup,
+            "kmeans_1d_n_pairs": engine_1d.n_evaluations,
+            "kmeans_1d_stacked_pairs": engine_1d.n_linprog_batched,
+            "kmeans_1d_linprog_seconds": per_pair_1d_time,
+            "kmeans_1d_engine_seconds": engine_1d_time,
+            "kmeans_1d_swap_identical": bool(swap_ok),
             "threshold": args.threshold,
             "kmeans_threshold": KMEANS_SPEEDUP,
             "threshold_enforced": not args.quick,
         },
-        passed=parity_ok and order_ok and speed_ok,
+        passed=parity_ok and order_ok and route_ok and swap_ok and speed_ok,
     )
+    if not route_ok:
+        print(
+            f"FAIL: {engine_1d.n_linprog_batched} 1-D pairs went to the "
+            "stacked LP; every 1-D pair should take an LP-free solver"
+        )
+        return 1
+    if not swap_ok:
+        print("FAIL: swapping every 1-D pair changed the band")
+        return 1
     if not order_ok:
         print(
             "FAIL: solving the histogram band's chunks in reversed order "

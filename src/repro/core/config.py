@@ -57,17 +57,18 @@ class DetectorConfig:
         Ground distance of the EMD (Section 3.2).
     emd_backend:
         ``"auto"`` (default), the band engine's one exact route: 1-D
-        equal-mass pairs take the closed form, every other pair is
-        grouped by ``(dimension, K_a, K_b)`` and solved in
-        block-diagonal HiGHS LPs, equal to the per-pair LP to within
-        1e-12.  ``"linprog_batch"`` is a second name for it and is
+        pairs under a metric that is ``|x − y|`` there take the closed
+        form (equal masses) or the slope-trick sweep (unequal masses),
+        every other pair is grouped by ``(dimension, K_a, K_b)`` and
+        solved in block-diagonal HiGHS LPs, equal to the per-pair LP to
+        within 1e-12.  ``"linprog_batch"`` is a second name for it and is
         stored as ``"auto"``.  The per-pair solvers
         ``"linprog"``/``"simplex"`` are rejected here; call
         :func:`repro.emd.emd` with ``backend=`` for them.
     parallel_backend:
         ``"serial"`` (default) or ``"process"``.  The EMD engine's
         worker-process pool solves the independent stacked LP chunks;
-        the 1-D closed form always runs in-process.  With ``n_shards``
+        the 1-D paths always run in-process.  With ``n_shards``
         set, ``"process"`` runs the shards in worker processes instead.
         The offline ``detect()`` also runs its k-means refinement on the
         engine's pool; seeding stays serial, so signatures and the

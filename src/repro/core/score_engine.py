@@ -112,7 +112,13 @@ class ScoreEngine:
     # Scoring
     # ------------------------------------------------------------------ #
     def point_score(self, window: WindowInput) -> float:
-        """Score of the window under the base (non-resampled) weights."""
+        """Score of the window under the base (non-resampled) weights.
+
+        It can differ in the last ulp from the point of
+        :meth:`point_and_interval` on the same window: this one-row
+        product takes another BLAS kernel than that method's ``(B + 1)``-row
+        batch.  The detectors report the latter.
+        """
         scores = self._scores(
             self.log_window(window), self.ref_weights[None, :], self.test_weights[None, :]
         )

@@ -20,7 +20,7 @@ from .ground_distance import (
 from .linprog_backend import solve_emd_linprog
 from .linprog_batch import LinprogBatchResult, solve_emd_linprog_batch
 from .matrices import EMDCache, cross_emd_matrix, emd_matrix
-from .one_dimensional import emd_1d_histograms, wasserstein_1d
+from .one_dimensional import emd_1d_histograms, partial_emd_1d, wasserstein_1d
 from .orchestrator import (
     QUARANTINE_FILENAME,
     InlineWorkerBackend,
@@ -88,6 +88,7 @@ __all__ = [
     "emd_matrix",
     "cross_emd_matrix",
     "wasserstein_1d",
+    "partial_emd_1d",
     "emd_1d_histograms",
     "TransportPlan",
     "solve_transportation",

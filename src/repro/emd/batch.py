@@ -13,9 +13,14 @@ provides the two pieces the detectors build on instead:
 
 The engine has one route, exact, taken pair by pair:
 
-* the closed-form 1-D integral, vectorised across every eligible pair
-  (one-dimensional supports, equal masses, an Lp ground distance);
-* a stacked exact LP for everything else: pairs are grouped by
+* for one-dimensional supports under a ground distance that is
+  ``|x − y|`` there (``euclidean``, ``cityblock``, ``manhattan``,
+  ``chebyshev``), no LP: the closed-form CDF integral, vectorised across
+  every equal-mass pair, and the slope-trick sweep of
+  :func:`~repro.emd.one_dimensional.partial_emd_1d`, one pair at a
+  time, for unequal masses;
+* a stacked exact LP for everything else (dimension 2 or more,
+  ``sqeuclidean``, callables): pairs are grouped by
   ``(dimension, K_a, K_b)`` and each chunk of a group is solved as one
   block-diagonal HiGHS model by
   :func:`~repro.emd.linprog_batch.solve_emd_linprog_batch`, over a
@@ -64,9 +69,10 @@ import numpy as np
 from .._validation import check_positive_int
 from ..exceptions import ConfigurationError, ReproError, SolverError, ValidationError
 from ..signatures import Signature
-from .distance import _can_use_1d_fast_path
+from .distance import _equal_masses, _is_1d_lp_pair
 from .ground_distance import GroundDistance, paired_cross_distances
 from .linprog_batch import chunk_slices, solve_emd_linprog_batch
+from .one_dimensional import _partial_emd_1d
 from .registry import EMD_SOLVERS, PARALLEL_BACKENDS, ParallelBackendName
 
 __all__ = [
@@ -317,7 +323,7 @@ class BandedDistanceMatrix:
 
 
 # ---------------------------------------------------------------------- #
-# Batched 1-D fast path
+# Batched 1-D closed form
 # ---------------------------------------------------------------------- #
 def _batched_wasserstein_1d(pairs: Sequence[Tuple[Signature, Signature]]) -> np.ndarray:
     """Exact 1-D Wasserstein distance for many signature pairs at once.
@@ -411,9 +417,11 @@ def _solve_stacked_chunk(args: _StackedJob) -> np.ndarray:
 class PairwiseEMDEngine:
     """Computes EMD over batches of signature pairs.
 
-    Every pair takes the one exact route: the closed-form 1-D integral
-    where it applies, otherwise block-diagonal HiGHS LPs over pairs
-    grouped by ``(dimension, K_a, K_b)``.
+    Every pair takes the one exact route: a 1-D pair under a metric that
+    is ``|x − y|`` there takes the closed-form integral (equal masses) or
+    the slope-trick sweep (unequal masses); any other pair goes to
+    block-diagonal HiGHS LPs over pairs grouped by
+    ``(dimension, K_a, K_b)``.
 
     Parameters
     ----------
@@ -421,8 +429,8 @@ class PairwiseEMDEngine:
         The ground distance between signature representatives.
     parallel_backend:
         ``"serial"`` (default) or ``"process"``.  A process pool solves
-        the independent chunks of the stacked LPs; the 1-D fast path
-        always runs in-process.
+        the independent chunks of the stacked LPs; the 1-D paths always
+        run in-process.
     n_workers:
         Pool size; defaults to the CPU count under ``"process"``.
 
@@ -431,7 +439,8 @@ class PairwiseEMDEngine:
     n_evaluations:
         Total number of pair distances computed so far (all paths).
     n_fast_path:
-        How many of those went through the vectorised 1-D fast path.
+        How many of those took an LP-free 1-D path: the vectorised
+        closed form or the slope-trick sweep.
     n_linprog_batched:
         How many pair distances were solved by the stacked exact LP
         route.
@@ -603,21 +612,36 @@ class PairwiseEMDEngine:
         return out
 
     # ------------------------------------------------------------------ #
-    # The route: 1-D closed form and stacked shape-grouped LPs
+    # The route: LP-free 1-D paths and stacked shape-grouped LPs
     # ------------------------------------------------------------------ #
     def _solve_fast_path(
         self, pairs: List[Tuple[Signature, Signature]], out: np.ndarray
     ) -> List[int]:
-        """Fill the closed-form 1-D pairs; return the positions of the rest."""
-        fast: List[int] = []
+        """Fill the LP-free 1-D pairs; return the positions of the rest.
+
+        Equal-mass pairs share one vectorised closed-form integral; the
+        other 1-D pairs take the slope-trick kernel one pair at a time.
+        """
+        closed: List[int] = []
         rest: List[int] = []
+        n_partial = 0
         for p in range(len(pairs)):
             sig_a, sig_b = pairs[p]
-            eligible = _can_use_1d_fast_path(sig_a, sig_b, self.ground_distance)
-            (fast if eligible else rest).append(p)
-        if fast:
-            out[fast] = _batched_wasserstein_1d([pairs[p] for p in fast])
-            self.n_fast_path += len(fast)
+            if not _is_1d_lp_pair(sig_a, sig_b, self.ground_distance):
+                rest.append(p)
+            elif _equal_masses(sig_a, sig_b):
+                closed.append(p)
+            else:
+                out[p] = _partial_emd_1d(
+                    sig_a.positions.ravel().tolist(),
+                    sig_a.weights.tolist(),
+                    sig_b.positions.ravel().tolist(),
+                    sig_b.weights.tolist(),
+                )
+                n_partial += 1
+        if closed:
+            out[closed] = _batched_wasserstein_1d([pairs[p] for p in closed])
+        self.n_fast_path += len(closed) + n_partial
         return rest
 
     def _solve_stacked(

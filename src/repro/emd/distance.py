@@ -9,9 +9,13 @@ backends are available:
 ``"simplex"``
     From-scratch transportation simplex (:mod:`repro.emd.transportation`).
 ``"auto"``
-    ``"linprog"`` for general signatures, with an exact 1-D fast path when
-    both signatures are one-dimensional, carry equal total mass and the
-    ground distance is Euclidean/Manhattan (they coincide in 1-D).
+    ``"linprog"`` for general signatures, with an exact LP-free path when
+    both signatures are one-dimensional and the ground distance is one of
+    ``euclidean``/``cityblock``/``manhattan``/``chebyshev`` (all ``|x − y|``
+    in 1-D): the closed-form CDF integral when the two masses are equal,
+    the slope-trick solver :func:`~repro.emd.one_dimensional.partial_emd_1d`
+    otherwise.  ``sqeuclidean`` and callable ground distances always take
+    the LP.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from ..exceptions import ConfigurationError, ValidationError
 from ..signatures import Signature
 from .ground_distance import GroundDistance, cross_distance_matrix
 from .linprog_backend import solve_emd_linprog
-from .one_dimensional import wasserstein_1d
+from .one_dimensional import _partial_emd_1d, wasserstein_1d
 from .registry import PAIRWISE_SOLVERS, PairwiseSolverName
 from .transportation import TransportPlan, solve_unbalanced_transportation
 
@@ -44,8 +48,9 @@ class EMDResult:
     total_flow:
         Total mass moved, ``min`` of the two signature masses (Eq. 11).
     flow:
-        Optimal flow matrix of shape ``(K, L)``, or ``None`` when the fast
-        1-D path was used (the explicit flow is not materialised there).
+        Optimal flow matrix of shape ``(K, L)``, or ``None`` when an
+        LP-free 1-D path was used (the explicit flow is not materialised
+        there).
     """
 
     distance: float
@@ -63,15 +68,17 @@ def _check_signatures(sig_a: Signature, sig_b: Signature) -> None:
         )
 
 
-def _can_use_1d_fast_path(
-    sig_a: Signature, sig_b: Signature, ground_distance: GroundDistance
-) -> bool:
+def _is_1d_lp_pair(sig_a: Signature, sig_b: Signature, ground_distance: GroundDistance) -> bool:
+    """Whether the pair is 1-D under a metric that reduces to ``|x − y|``."""
     if sig_a.dimension != 1:
         return False
     if not isinstance(ground_distance, str):
         return False
-    if ground_distance.lower() not in ("euclidean", "cityblock", "manhattan", "chebyshev"):
-        return False
+    return ground_distance.lower() in ("euclidean", "cityblock", "manhattan", "chebyshev")
+
+
+def _equal_masses(sig_a: Signature, sig_b: Signature) -> bool:
+    """Whether a 1-D pair takes the closed form rather than the slope trick."""
     # np.isclose(a, b, rtol=1e-9, atol=1e-12) on the (finite) totals,
     # without its per-call array overhead.
     total_a, total_b = sig_a.total_weight, sig_b.total_weight
@@ -107,10 +114,14 @@ def emd_with_flow(
             f"backend must be one of {PAIRWISE_SOLVERS}, got {backend!r}"
         )
 
-    if backend == "auto" and _can_use_1d_fast_path(sig_a, sig_b, ground_distance):
-        distance = wasserstein_1d(
-            sig_a.positions[:, 0], sig_a.weights, sig_b.positions[:, 0], sig_b.weights
-        )
+    if backend == "auto" and _is_1d_lp_pair(sig_a, sig_b, ground_distance):
+        xa, xb = sig_a.positions[:, 0], sig_b.positions[:, 0]
+        if _equal_masses(sig_a, sig_b):
+            distance = wasserstein_1d(xa, sig_a.weights, xb, sig_b.weights)
+        else:
+            distance = _partial_emd_1d(
+                xa.tolist(), sig_a.weights.tolist(), xb.tolist(), sig_b.weights.tolist()
+            )
         total_flow = float(min(sig_a.total_weight, sig_b.total_weight))
         return EMDResult(
             distance=distance, cost=distance * total_flow, total_flow=total_flow, flow=None

@@ -26,7 +26,7 @@ EMDSolverName = Literal["auto", "linprog", "linprog_batch", "simplex"]
 PairwiseSolverName = Literal["auto", "linprog", "simplex"]
 
 #: The names ``DetectorConfig.emd_backend`` accepts: the band engine's
-#: one route (1-D closed form plus stacked exact LPs), where
+#: one route (LP-free 1-D paths plus stacked exact LPs), where
 #: ``"linprog_batch"`` is a second name for ``"auto"``.
 EngineSolverName = Literal["auto", "linprog_batch"]
 

@@ -40,9 +40,9 @@ class HistogramQuantizer(BaseQuantizer):
         dimension), fixing the binning range.  When ``None`` the range of
         the data being quantised is used; fixing the range is recommended
         when signatures from different bags must share a common grid.
-    drop_empty:
-        When ``True`` (default) bins with zero count are not included in the
-        output, which keeps signatures small.
+
+    Bins with zero count are not included in the output, which keeps
+    signatures small.
     """
 
     def __init__(
@@ -50,7 +50,6 @@ class HistogramQuantizer(BaseQuantizer):
         bins: Union[int, Sequence[int]] = 10,
         *,
         range: Optional[Sequence] = None,
-        drop_empty: bool = True,
     ):
         super().__init__(random_state=None)
         if isinstance(bins, (int, np.integer)):
@@ -59,7 +58,6 @@ class HistogramQuantizer(BaseQuantizer):
             bins = [check_positive_int(int(b), "bins") for b in bins]
         self.bins = bins
         self.range = range
-        self.drop_empty = bool(drop_empty)
         self._grid: Optional[Tuple[int, object, object, _Grid]] = None
 
     def _resolve_grid(self, data: np.ndarray) -> _Grid:

@@ -231,7 +231,7 @@ class TestEmd:
 
     @pytest.mark.parametrize("total_b", [1.0, 3.7, 1e-3, 1e-13, 250.0])
     def test_1d_eligibility_matches_np_isclose_on_totals(self, total_b):
-        from repro.emd.distance import _can_use_1d_fast_path
+        from repro.emd.distance import _equal_masses
 
         # Offsets straddling atol + rtol * |b| on both sides of total_b.
         bound = 1e-12 + 1e-9 * total_b
@@ -242,7 +242,7 @@ class TestEmd:
                 continue
             a = sig([[1.0]], [total_a])
             expected = bool(np.isclose(total_a, total_b, rtol=1e-9, atol=1e-12))
-            assert _can_use_1d_fast_path(a, b, "euclidean") is expected
+            assert _equal_masses(a, b) is expected
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):

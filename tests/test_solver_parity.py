@@ -1,10 +1,10 @@
 """Cross-solver parity harness and EMD metric-invariant property tests.
 
-The solver matrix has four entries, all exact — the closed-form 1-D fast
-path, the transportation simplex, the per-pair HiGHS LP and the
-block-diagonal batched LP.  The band engine routes pairs between the
-first and the last; the per-pair solvers are :func:`repro.emd.emd`
-oracles.  This module pins down what "the same distance" means across
+The solver matrix has five entries, all exact — the closed-form 1-D
+path, the 1-D slope-trick sweep, the transportation simplex, the
+per-pair HiGHS LP and the block-diagonal batched LP.  The band engine
+routes pairs between the two 1-D paths and the batched LP; the per-pair
+solvers are :func:`repro.emd.emd` oracles.  This module pins down what "the same distance" means across
 that matrix:
 
 * every path must agree with the per-pair LP reference to within
@@ -86,8 +86,8 @@ def _build_corpus():
         Signature(np.array([[0.5, 1.0]]), np.array([2.0])),
         Signature(grid2, rng.uniform(0.5, 2.0, n_bins)),
     )
-    # 1-D supports, equal and unequal masses (the first also exercises
-    # the closed-form fast path inside the engine backends).
+    # 1-D supports, equal and unequal masses (inside the engine the
+    # first takes the closed form, the second the slope-trick sweep).
     x1 = np.sort(rng.normal(size=(5, 1)), axis=0)
     corpus["one-dim-equal-mass"] = (
         Signature(x1, np.full(5, 0.2)),

@@ -1,11 +1,14 @@
 """The stacked exact route of :class:`~repro.emd.PairwiseEMDEngine`.
 
-Every pair that misses the closed-form 1-D integral is grouped by
-``(dimension, K_a, K_b)`` and solved in block-diagonal HiGHS LPs.  These tests pin that route to:
+Every pair that misses the LP-free 1-D solvers (a 1-D pair under a
+metric other than ``sqeuclidean`` or a callable) is grouped by
+``(dimension, K_a, K_b)`` and solved in block-diagonal HiGHS LPs.  These
+tests pin both routes to:
 
-* an LP-free oracle — for equal-mass signatures with integer counts, the
-  EMD equals an assignment problem over unit masses, which
+* an LP-free oracle — for signatures with integer counts, the EMD equals
+  an assignment problem over unit masses, which
   :func:`scipy.optimize.linear_sum_assignment` solves exactly;
+* the routing itself: which pairs take the 1-D solvers and which the LP;
 * a band of per-pair :func:`~repro.emd.emd` oracle values, over every
   signature builder and every ground distance;
 * the per-pair LP :func:`~repro.emd.solve_emd_linprog`, with unequal
@@ -27,7 +30,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from repro.core import BagChangePointDetector, DetectorConfig
-from repro.emd import PairwiseEMDEngine, emd, solve_emd_linprog, solve_emd_linprog_batch
+from repro.emd import (
+    PairwiseEMDEngine,
+    emd,
+    solve_emd_linprog,
+    solve_emd_linprog_batch,
+    wasserstein_1d,
+)
 from repro.emd.ground_distance import GROUND_DISTANCES, cross_distance_matrix
 from repro.exceptions import SolverError
 from repro.signatures import Signature, SignatureBuilder
@@ -38,22 +47,23 @@ PARITY_TOL = 1e-12
 
 
 def assignment_emd(sig_a, sig_b, ground_distance="euclidean"):
-    """Exact EMD of two equal-mass integer-count signatures, without an LP.
+    """Exact EMD of two integer-count signatures, without an LP.
 
     Each atom of weight ``c`` becomes ``c`` unit-mass copies; the
     transportation polytope with integer margins has integral vertices,
     so the optimal flow is an optimal assignment between the copies.
+    With unequal masses the rectangular assignment matches every copy of
+    the lighter side, i.e. moves ``min(A, B)`` units (Eq. 11).
     """
     counts_a = sig_a.weights.astype(int)
     counts_b = sig_b.weights.astype(int)
     assert np.array_equal(counts_a, sig_a.weights)
     assert np.array_equal(counts_b, sig_b.weights)
-    assert counts_a.sum() == counts_b.sum()
     points_a = np.repeat(sig_a.positions, counts_a, axis=0)
     points_b = np.repeat(sig_b.positions, counts_b, axis=0)
     cost = cross_distance_matrix(points_a, points_b, ground_distance)
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum() / counts_a.sum())
+    return float(cost[rows, cols].sum() / min(counts_a.sum(), counts_b.sum()))
 
 
 def integer_signature(rng, size, dimension, total):
@@ -148,6 +158,104 @@ class TestAssignmentOracle:
 
 
 # ---------------------------------------------------------------------- #
+# The LP-free 1-D route
+# ---------------------------------------------------------------------- #
+@st.composite
+def unequal_mass_1d_pairs(draw):
+    """1-D integer-count pairs on a coarse grid: ties and unequal masses."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        size_a, size_b = (int(k) for k in rng.integers(1, 7, size=2))
+        sig_a = integer_signature(rng, size_a, 1, size_a + int(rng.integers(0, 8)))
+        sig_b = integer_signature(rng, size_b, 1, size_b + int(rng.integers(0, 8)))
+        if draw(st.booleans()):  # integer positions: a- and b-atoms tie
+            sig_a = Signature(np.round(sig_a.positions), sig_a.weights)
+            sig_b = Signature(np.round(sig_b.positions), sig_b.weights)
+        pairs.append((sig_a, sig_b))
+    return pairs
+
+
+class TestOneDimensionalRoute:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pairs=unequal_mass_1d_pairs())
+    def test_unequal_masses_match_assignment_oracle(self, pairs):
+        engine = PairwiseEMDEngine()
+        values = engine.compute_pairs(pairs)
+        expected = [assignment_emd(a, b) for a, b in pairs]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=PARITY_TOL)
+        assert engine.n_fast_path == len(pairs)
+        assert engine.n_linprog_batched == 0
+
+    @pytest.mark.parametrize(
+        "ground_distance", ["euclidean", "cityblock", "manhattan", "chebyshev"]
+    )
+    def test_lp_metrics_take_the_1d_route(self, ground_distance):
+        pairs = random_pairs(np.random.default_rng(21), 30, dimension=1)
+        engine = PairwiseEMDEngine(ground_distance=ground_distance)
+        values = engine.compute_pairs(pairs)
+        assert engine.n_fast_path == len(pairs)
+        assert engine.n_linprog_batched == 0
+        expected = [
+            emd(a, b, ground_distance=ground_distance, backend="linprog") for a, b in pairs
+        ]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=PARITY_TOL)
+
+    @pytest.mark.parametrize(
+        "ground_distance",
+        ["sqeuclidean", lambda a, b: cross_distance_matrix(a, b, "euclidean")],
+        ids=["sqeuclidean", "callable"],
+    )
+    def test_other_metrics_stay_on_the_lp(self, ground_distance):
+        pairs = random_pairs(np.random.default_rng(22), 30, dimension=1)
+        engine = PairwiseEMDEngine(ground_distance=ground_distance)
+        values = engine.compute_pairs(pairs)
+        assert engine.n_fast_path == 0
+        assert engine.n_linprog_batched == len(pairs)
+        expected = [
+            emd(a, b, ground_distance=ground_distance, backend="linprog") for a, b in pairs
+        ]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=PARITY_TOL)
+
+    def test_swapped_pairs_are_bit_identical(self):
+        pairs = random_pairs(np.random.default_rng(23), 200, dimension=1)
+        forward = PairwiseEMDEngine().compute_pairs(pairs)
+        swapped = PairwiseEMDEngine().compute_pairs([(b, a) for a, b in pairs])
+        np.testing.assert_array_equal(swapped, forward)
+
+    def test_masses_equal_within_tolerance_keep_the_closed_form(self, monkeypatch):
+        from repro.emd import batch as batch_module
+
+        rng = np.random.default_rng(24)
+        pairs = []
+        for size_a, size_b in ((3, 5), (8, 8), (1, 4), (6, 2)):
+            weights_a = rng.uniform(0.5, 2.0, size_a)
+            weights_b = rng.uniform(0.5, 2.0, size_b)
+            # Off by half the 1e-9 relative tolerance: still "equal".
+            weights_b *= weights_a.sum() / weights_b.sum() * (1.0 + 5e-10)
+            pairs.append(
+                (
+                    Signature(rng.normal(size=(size_a, 1)), weights_a),
+                    Signature(rng.normal(size=(size_b, 1)), weights_b),
+                )
+            )
+        closed_form = batch_module._batched_wasserstein_1d(pairs)
+
+        def no_slope_trick(*args):
+            raise AssertionError("an equal-mass pair left the closed form")
+
+        monkeypatch.setattr(batch_module, "_partial_emd_1d", no_slope_trick)
+        engine = PairwiseEMDEngine()
+        np.testing.assert_array_equal(engine.compute_pairs(pairs), closed_form)
+        assert engine.n_fast_path == len(pairs)
+        for sig_a, sig_b in pairs:
+            assert emd(sig_a, sig_b) == wasserstein_1d(
+                sig_a.positions[:, 0], sig_a.weights, sig_b.positions[:, 0], sig_b.weights
+            )
+
+
+# ---------------------------------------------------------------------- #
 # Per-pair LP parity
 # ---------------------------------------------------------------------- #
 class TestOracleBandGrid:
@@ -192,8 +300,13 @@ class TestPerPairParity:
         values = engine.compute_pairs(pairs)
         expected = [emd(a, b, backend="linprog") for a, b in pairs]
         np.testing.assert_allclose(values, expected, rtol=0, atol=PARITY_TOL)
-        # Unequal masses miss the closed form even in 1-D.
-        assert engine.n_linprog_batched == len(pairs)
+        if dimension == 1:
+            # Unequal masses miss the closed form, but 1-D pairs never
+            # reach the LP: they take the slope-trick solver.
+            assert engine.n_linprog_batched == 0
+            assert engine.n_fast_path == len(pairs)
+        else:
+            assert engine.n_linprog_batched == len(pairs)
 
     def test_linprog_batch_is_stored_as_auto(self):
         assert DetectorConfig(emd_backend="linprog_batch").emd_backend == "auto"
