@@ -23,8 +23,9 @@ Three sections:
   would show here);
 * **engine** — context: the full band build over histogram signatures
   with varying bin occupancy, one ``emd(backend="linprog")`` call per
-  pair vs :class:`repro.emd.PairwiseEMDEngine` (stacked LPs grouped by
-  ``(d, K_a, K_b)``);
+  pair vs :class:`repro.emd.PairwiseEMDEngine`, which matches the mass
+  in shared bins in place and stacks the residual LPs grouped by
+  residual shape ``(d, K_a, K_b)``;
 * **kmeans** — enforced: the band of a default-config detector
   (k-means signatures, K=8, ``τ + τ′ = 10``) built by the engine vs one
   ``emd(backend="linprog")`` call per pair.  Every support is distinct,
@@ -213,7 +214,8 @@ def main(argv=None) -> int:
     )
 
     # ------------------------------------------------------------------ #
-    # Engine section: band build, per-pair LP vs grouped stacked LPs.
+    # Engine section: band build, per-pair LP vs the engine's residual
+    # LPs (shared-bin mass matched in place, grouped by residual shape).
     # ------------------------------------------------------------------ #
     signatures = make_histogram_signatures(n_bags, args.side, args.dim, args.seed)
 

@@ -43,6 +43,7 @@ Robustness contract (the streaming service builds on these):
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
@@ -134,6 +135,15 @@ class OnlineBagDetector:
         elif kwargs:
             raise ValidationError("pass either a DetectorConfig or keyword arguments, not both")
         self.config = config
+        if config.signature_method == "histogram" and config.histogram_range is None:
+            warnings.warn(
+                "signature_method='histogram' without histogram_range bins each bag "
+                "on its own min/max, so the stream's histograms never share a grid "
+                "(the same bin is a different place in every bag); declare "
+                "histogram_range to compare bags bin for bin",
+                UserWarning,
+                stacklevel=2,
+            )
         self._rng = as_rng(config.random_state)
         self._builder = SignatureBuilder(
             config.signature_method,

@@ -20,9 +20,14 @@ The engine has one route, exact, taken pair by pair:
   :func:`~repro.emd.one_dimensional.partial_emd_1d`, one pair at a
   time, for unequal masses;
 * a stacked exact LP for everything else (dimension 2 or more,
-  ``sqeuclidean``, callables): pairs are grouped by
-  ``(dimension, K_a, K_b)`` and each chunk of a group is solved as one
-  block-diagonal HiGHS model by
+  ``sqeuclidean``, callables).  Under a metric ground distance each
+  pair's coincident mass is matched in place first: where atom ``i`` of
+  one signature sits exactly where atom ``j`` of the other does, an
+  optimal flow keeps ``min(w_i, u_j)`` there (triangle inequality), so
+  only the mass that moves reaches the LP, and a pair with nothing left
+  on one side is exactly 0.  The residual pairs are grouped by
+  ``(dimension, K_a, K_b)`` of what is left, and each chunk of a group
+  is solved as one block-diagonal HiGHS model by
   :func:`~repro.emd.linprog_batch.solve_emd_linprog_batch`, over a
   ``(P, K_a, K_b)`` cost tensor built only when that chunk is solved.
 
@@ -34,11 +39,12 @@ exactly.  With ``parallel_backend="process"`` the stacked chunks run on
 a lazily created worker-process pool (use
 :meth:`~PairwiseEMDEngine.close` or a ``with`` block to release it).
 
-Every routing decision is pair-local, so a pair is solved by the same
-route no matter which other pairs share its batch (the invariant
-:mod:`repro.emd.sharding` and the cross-stream drain rely on); stacked
-HiGHS solves may still differ in the last ulp with batch composition,
-which the parity suites bound at 1e-12.  A
+Every routing decision, the in-place matching included, is pair-local,
+so a pair is solved by the same route no matter which other pairs share
+its batch (the invariant :mod:`repro.emd.sharding` and the cross-stream
+drain rely on).  The 1-D paths give the same bits in any batch; stacked
+HiGHS solves may still differ in the last ulp with their chunk's
+composition, which the parity suites bound at 1e-12.  A
 :class:`~repro.exceptions.SolverError` raised inside any batched solve is
 re-raised with the :meth:`~PairwiseEMDEngine.compute_pairs` positions of
 the pairs that were stacked into the failing solve
@@ -55,6 +61,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -70,7 +77,12 @@ from .._validation import check_positive_int
 from ..exceptions import ConfigurationError, ReproError, SolverError, ValidationError
 from ..signatures import Signature
 from .distance import _equal_masses, _is_1d_lp_pair
-from .ground_distance import GroundDistance, paired_cross_distances
+from .ground_distance import (
+    _MAX_COST_ENTRIES,
+    GroundDistance,
+    is_metric,
+    paired_cross_distances,
+)
 from .linprog_batch import chunk_slices, solve_emd_linprog_batch
 from .one_dimensional import _partial_emd_1d
 from .registry import EMD_SOLVERS, PARALLEL_BACKENDS, ParallelBackendName
@@ -360,7 +372,9 @@ def _batched_wasserstein_1d(pairs: Sequence[Tuple[Signature, Signature]]) -> np.
     wb_ext = np.concatenate([np.zeros_like(wa), wb], axis=1)
     cdf_a = np.cumsum(np.take_along_axis(wa_ext, sorter, axis=1), axis=1)[:, :-1]
     cdf_b = np.cumsum(np.take_along_axis(wb_ext, sorter, axis=1), axis=1)[:, :-1]
-    return np.sum(np.abs(cdf_a - cdf_b) * deltas, axis=1)
+    # Summed sequentially, not pairwise: the padding only adds exact zero
+    # terms, so a pair's bits do not depend on the batch's largest support.
+    return np.cumsum(np.abs(cdf_a - cdf_b) * deltas, axis=1)[:, -1]
 
 
 def _translate_group_error(exc: SolverError, members: Sequence[int]) -> SolverError:
@@ -383,35 +397,171 @@ def _translate_group_error(exc: SolverError, members: Sequence[int]) -> SolverEr
     )
 
 
-# One stacked-LP job: the chunk's compute_pairs positions, its pairs and
-# the ground distance.
-_StackedJob = Tuple[List[int], List[Tuple[Signature, Signature]], GroundDistance]
+class _Residuals(NamedTuple):
+    """Pairs that share one residual shape ``(K_a, K_b)``, ready to stack."""
+
+    members: np.ndarray  # (P,) compute_pairs positions, ascending
+    pairs: List[Tuple[Signature, Signature]]
+    keep_a: np.ndarray  # (P, width) atoms left, False past each signature's size
+    keep_b: np.ndarray
+    supply: np.ndarray  # (P, K_a) residual weights of the kept atoms
+    demand: np.ndarray  # (P, K_b)
+    matched: np.ndarray  # (P,) mass matched in place before the LP
+
+    def take(self, rows: slice) -> "_Residuals":
+        """The same fields for a subset of the pairs."""
+        return _Residuals(*(field[rows] for field in self))
+
+
+def _match_in_place(
+    sigs_a: Sequence[Signature],
+    sigs_b: Sequence[Signature],
+    keep_a: np.ndarray,
+    keep_b: np.ndarray,
+    w_a: np.ndarray,
+    w_b: np.ndarray,
+) -> np.ndarray:
+    """Match a block of pairs' coincident mass in place; return the matched mass.
+
+    ``keep_*`` and ``w_*`` are the block's atom masks and weights,
+    padded to a common width, and are updated in place.  Every atom ``i``
+    of one signature that sits exactly where atom ``j`` of the other does
+    keeps ``min(w_i, u_j)`` in place: both weights lose it, it joins the
+    pair's matched mass, and an atom whose residual is zero is dropped.
+    Under a metric ground distance some optimal flow does exactly that
+    (moving mass off a zero-cost edge never pays, by the triangle
+    inequality), so the residual LP plus the matched mass is the pair's
+    exact EMD.  A position repeated in one signature and present in the
+    other is not a one-to-one match, so that pair is left whole.
+    """
+    dim = sigs_a[0].dimension
+    pos_a = np.full(keep_a.shape + (dim,), np.nan)
+    pos_b = np.full(keep_b.shape + (dim,), np.nan)
+    pos_a[keep_a] = np.concatenate([sig.positions for sig in sigs_a])
+    pos_b[keep_b] = np.concatenate([sig.positions for sig in sigs_b])
+    same = pos_a[:, :, None, 0] == pos_b[:, None, :, 0]
+    for axis in range(1, dim):
+        same &= pos_a[:, :, None, axis] == pos_b[:, None, :, axis]
+    one_to_one = (same.sum(axis=2) <= 1).all(axis=1) & (same.sum(axis=1) <= 1).all(axis=1)
+    pair, i, j = np.nonzero(same & one_to_one[:, None, None])
+    # One-to-one, so no atom is indexed twice here; and bincount adds
+    # each pair's matches in atom order, whatever else is in the block.
+    moved = np.minimum(w_a[pair, i], w_b[pair, j])
+    w_a[pair, i] -= moved
+    w_b[pair, j] -= moved
+    keep_a[pair, i] = w_a[pair, i] > 0
+    keep_b[pair, j] = w_b[pair, j] > 0
+    return np.bincount(pair, weights=moved, minlength=len(sigs_a))
+
+
+def _residual_groups(
+    pairs: Sequence[Tuple[Signature, Signature]], indices: Sequence[int], match: bool
+) -> Tuple[List[Tuple[Tuple[int, int, int], _Residuals]], np.ndarray]:
+    """The stacked route's LP groups, keyed ``(d, K_a, K_b)`` of the residual pairs.
+
+    With ``match``, each pair's coincident mass is matched in place first
+    (:func:`_match_in_place`), in blocks of at most 65,536 coordinate
+    comparisons (padded atom pairs times ``d``), so the test never holds
+    more than that.  Only atom masks and weights are kept for the whole
+    batch; positions stay in the signatures until a chunk is solved.
+    Members stay in ascending position order within each group, and
+    groups come in the order of their first member.  Also returns the
+    positions of the pairs with an empty side, which are exactly 0 and
+    need no LP.
+    """
+    by_dim: Dict[int, List[int]] = {}
+    for p in indices:
+        by_dim.setdefault(pairs[p][0].dimension, []).append(p)
+    groups = []
+    vanished = [np.empty(0, dtype=int)]
+    for dim, positions in by_dim.items():
+        members = np.array(positions)
+        sigs_a = [pairs[p][0] for p in positions]
+        sigs_b = [pairs[p][1] for p in positions]
+        size_a = np.array([sig.size for sig in sigs_a])
+        size_b = np.array([sig.size for sig in sigs_b])
+        keep_a = np.arange(size_a.max()) < size_a[:, None]
+        keep_b = np.arange(size_b.max()) < size_b[:, None]
+        w_a = np.zeros(keep_a.shape)
+        w_b = np.zeros(keep_b.shape)
+        w_a[keep_a] = np.concatenate([sig.weights for sig in sigs_a])
+        w_b[keep_b] = np.concatenate([sig.weights for sig in sigs_b])
+        matched = np.zeros(members.size)
+        if match:
+            step = max(1, _MAX_COST_ENTRIES // (keep_a.shape[1] * keep_b.shape[1] * dim))
+            for start in range(0, members.size, step):
+                block = slice(start, start + step)
+                matched[block] = _match_in_place(
+                    sigs_a[block],
+                    sigs_b[block],
+                    keep_a[block],
+                    keep_b[block],
+                    w_a[block],
+                    w_b[block],
+                )
+        left_a = keep_a.sum(axis=1)
+        left_b = keep_b.sum(axis=1)
+        live = (left_a > 0) & (left_b > 0)
+        vanished.append(members[~live])
+        shape_code = left_a * (keep_b.shape[1] + 1) + left_b
+        for code in np.unique(shape_code[live]):
+            rows = np.flatnonzero(live & (shape_code == code))
+            k_a, k_b = int(left_a[rows[0]]), int(left_b[rows[0]])
+            kept_a, kept_b = keep_a[rows], keep_b[rows]
+            group = _Residuals(
+                members[rows],
+                [pairs[p] for p in members[rows]],
+                kept_a,
+                kept_b,
+                w_a[rows][kept_a].reshape(-1, k_a),
+                w_b[rows][kept_b].reshape(-1, k_b),
+                matched[rows],
+            )
+            groups.append(((dim, k_a, k_b), group))
+    groups.sort(key=lambda item: item[1].members[0])
+    return groups, np.concatenate(vanished)
+
+
+def _kept_positions(signatures: Sequence[Signature], keep: np.ndarray) -> np.ndarray:
+    """The ``(P, K, d)`` positions of each signature's kept atoms."""
+    sizes = np.array([sig.size for sig in signatures])
+    flat = np.concatenate([sig.positions for sig in signatures])
+    kept = flat[keep[np.arange(keep.shape[1]) < sizes[:, None]]]
+    return kept.reshape(len(signatures), -1, flat.shape[1])
+
+
+# One stacked-LP job: a chunk of one residual group and the ground distance.
+_StackedJob = Tuple[_Residuals, GroundDistance]
 _Job = TypeVar("_Job")
 _Result = TypeVar("_Result")
 
 
 def _solve_stacked_chunk(args: _StackedJob) -> np.ndarray:
-    """One stacked exact LP over a chunk of same-shape pairs (pool-safe).
+    """One stacked exact LP over a chunk of same-shape residual pairs (pool-safe).
 
-    The chunk's ``(P, K_a, K_b)`` cost tensor is built here, only when
-    the chunk is solved, so a band's costs never sit in memory at once,
-    by :func:`~repro.emd.ground_distance.paired_cross_distances`: one
-    ground-distance call per up to 65,536 entries, not one per pair.
-    ``members`` are the chunk's :meth:`PairwiseEMDEngine.compute_pairs`
-    positions, which a failure is re-raised with.
+    The chunk's kept positions and its ``(P, K_a, K_b)`` cost tensor are
+    built here, only when the chunk is solved, so a band's costs never
+    sit in memory at once, by
+    :func:`~repro.emd.ground_distance.paired_cross_distances`: one
+    ground-distance call per up to 65,536 entries, not one per pair.  A
+    pair's distance is its LP cost over its matched plus LP-moved mass
+    (exactly 0 when both are 0).  A failure is re-raised with the
+    chunk's :meth:`PairwiseEMDEngine.compute_pairs` positions.
     """
-    members, chunk, ground_distance = args
+    chunk, ground_distance = args
     cost = paired_cross_distances(
-        np.stack([a.positions for a, _ in chunk]),
-        np.stack([b.positions for _, b in chunk]),
+        _kept_positions([a for a, _ in chunk.pairs], chunk.keep_a),
+        _kept_positions([b for _, b in chunk.pairs], chunk.keep_b),
         ground_distance,
     )
-    supply = np.stack([a.weights for a, _ in chunk])
-    demand = np.stack([b.weights for _, b in chunk])
     try:
-        return solve_emd_linprog_batch(cost, supply, demand).distances
+        result = solve_emd_linprog_batch(cost, chunk.supply, chunk.demand)
     except SolverError as exc:
-        raise _translate_group_error(exc, members) from exc
+        raise _translate_group_error(exc, chunk.members) from exc
+    moved = chunk.matched + result.total_flows
+    distances = np.zeros_like(moved)
+    np.divide(result.costs, moved, out=distances, where=moved > 0)
+    return distances
 
 
 class PairwiseEMDEngine:
@@ -420,8 +570,9 @@ class PairwiseEMDEngine:
     Every pair takes the one exact route: a 1-D pair under a metric that
     is ``|x − y|`` there takes the closed-form integral (equal masses) or
     the slope-trick sweep (unequal masses); any other pair goes to
-    block-diagonal HiGHS LPs over pairs grouped by
-    ``(dimension, K_a, K_b)``.
+    block-diagonal HiGHS LPs.  Under a metric its coincident mass is
+    matched in place first, and the residual pairs are grouped by
+    ``(dimension, K_a, K_b)`` of what is left.
 
     Parameters
     ----------
@@ -443,7 +594,9 @@ class PairwiseEMDEngine:
         closed form or the slope-trick sweep.
     n_linprog_batched:
         How many pair distances were solved by the stacked exact LP
-        route.
+        route, including pairs whose LP vanished once their coincident
+        mass was matched in place, so
+        ``n_fast_path + n_linprog_batched == n_evaluations``.
 
     Notes
     -----
@@ -596,11 +749,12 @@ class PairwiseEMDEngine:
 
         Routing is pair-local, so a pair's distance does not depend on
         which other pairs share the batch beyond last-ulp rounding in the
-        stacked HiGHS solves (≤1e-12).  A failing stacked solve re-raises
-        :class:`~repro.exceptions.SolverError` with ``pair_indices`` in
-        *this call's* positions, so callers that gather pairs from many
-        sources (the supervisor's cross-stream drain) can map failures
-        back to their owners.
+        stacked HiGHS solves (≤1e-12); the 1-D paths and the in-place
+        matching give the same bits in any batch.  A failing stacked
+        solve re-raises :class:`~repro.exceptions.SolverError` with
+        ``pair_indices`` in *this call's* positions, so callers that
+        gather pairs from many sources (the supervisor's cross-stream
+        drain) can map failures back to their owners.
         """
         self._check_open()
         pairs = list(pairs)
@@ -650,31 +804,34 @@ class PairwiseEMDEngine:
         indices: List[int],
         out: np.ndarray,
     ) -> None:
-        """Block-diagonal exact LPs over pairs grouped by ``(d, K_a, K_b)``.
+        """Block-diagonal exact LPs over pairs grouped by residual shape.
 
-        The group key depends on nothing but the pair, so a pair is routed
-        identically no matter which other pairs share the batch — the
-        invariant sharded builds and the cross-stream drain rely on.
+        Under a metric ground distance each pair's coincident mass is
+        first matched in place (:func:`_match_in_place`), so only the mass
+        that moves reaches HiGHS; a pair with an empty side is exactly 0
+        and needs no LP.  ``sqeuclidean`` and callables keep their pairs
+        whole.  Pairs are then grouped by ``(d, K_a, K_b)`` of what is
+        left.  Both steps depend on nothing but the pair, so a pair is
+        routed identically no matter which other pairs share the batch —
+        the invariant sharded builds and the cross-stream drain rely on.
         Each group is cut by :func:`~repro.emd.linprog_batch.chunk_slices`,
         and a chunk's ``(P, K_a, K_b)`` cost tensor is built only when that
         chunk is solved, so memory stays O(chunk).  Chunks are independent
         LPs, so a configured process pool solves them in parallel.
-        ``indices`` are positions into ``pairs``/``out``; a failing chunk
-        re-raises with those positions.
+        ``indices`` are positions into ``pairs``/``out``; every one counts
+        in ``n_linprog_batched``, and a failing chunk re-raises with those
+        positions.
         """
-        groups: Dict[Tuple[int, int, int], List[int]] = {}
-        for p in indices:
-            sig_a, sig_b = pairs[p]
-            groups.setdefault((sig_a.dimension, sig_a.size, sig_b.size), []).append(p)
-        jobs: List[_StackedJob] = []
-        for (_, size_a, size_b), members in groups.items():
-            for piece in chunk_slices(len(members), size_a, size_b):
-                chunk = members[piece]
-                jobs.append((chunk, [pairs[p] for p in chunk], self.ground_distance))
-        distances = self.map(_solve_stacked_chunk, jobs)
-        for (chunk, _, _), values in zip(jobs, distances):
-            out[chunk] = values
-            self.n_linprog_batched += len(chunk)
+        groups, vanished = _residual_groups(pairs, indices, is_metric(self.ground_distance))
+        out[vanished] = 0.0
+        jobs: List[_StackedJob] = [
+            (group.take(piece), self.ground_distance)
+            for (_, size_a, size_b), group in groups
+            for piece in chunk_slices(len(group.members), size_a, size_b)
+        ]
+        for (chunk, _), values in zip(jobs, self.map(_solve_stacked_chunk, jobs)):
+            out[chunk.members] = values
+        self.n_linprog_batched += len(indices)
 
     def distances_from(
         self, signature: Signature, others: Sequence[Signature]

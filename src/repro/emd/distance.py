@@ -27,7 +27,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, ValidationError
 from ..signatures import Signature
-from .ground_distance import GroundDistance, cross_distance_matrix
+from .ground_distance import GroundDistance, cross_distance_matrix, is_metric
 from .linprog_backend import solve_emd_linprog
 from .one_dimensional import _partial_emd_1d, wasserstein_1d
 from .registry import PAIRWISE_SOLVERS, PairwiseSolverName
@@ -69,12 +69,8 @@ def _check_signatures(sig_a: Signature, sig_b: Signature) -> None:
 
 
 def _is_1d_lp_pair(sig_a: Signature, sig_b: Signature, ground_distance: GroundDistance) -> bool:
-    """Whether the pair is 1-D under a metric that reduces to ``|x − y|``."""
-    if sig_a.dimension != 1:
-        return False
-    if not isinstance(ground_distance, str):
-        return False
-    return ground_distance.lower() in ("euclidean", "cityblock", "manhattan", "chebyshev")
+    """Whether the pair is 1-D under a metric, which reduces to ``|x − y|`` there."""
+    return sig_a.dimension == 1 and is_metric(ground_distance)
 
 
 def _equal_masses(sig_a: Signature, sig_b: Signature) -> bool:

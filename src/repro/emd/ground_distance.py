@@ -29,6 +29,12 @@ GROUND_DISTANCES = ("euclidean", "sqeuclidean", "cityblock", "manhattan", "cheby
 
 _NAMED = GROUND_DISTANCES
 
+#: The built-in ground distances that are metrics (symmetric, zero only
+#: between equal positions, and obeying the triangle inequality);
+#: ``sqeuclidean`` breaks the triangle inequality.  In one dimension each
+#: of them is ``|x − y|``.
+METRIC_GROUND_DISTANCES = ("euclidean", "cityblock", "manhattan", "chebyshev")
+
 #: Cap on the entries one ground-distance call of
 #: :func:`paired_cross_distances` builds (512 KB of float64).
 _MAX_COST_ENTRIES = 65_536
@@ -45,6 +51,14 @@ def ground_distance_identity(metric: GroundDistance) -> str:
         return metric
     module = getattr(metric, "__module__", "?")
     return f"callable:{module}.{getattr(metric, '__qualname__', repr(metric))}"
+
+
+def is_metric(metric: GroundDistance) -> bool:
+    """Whether ``metric`` names a built-in metric ground distance.
+
+    Callables are never trusted to be metrics.
+    """
+    return isinstance(metric, str) and metric.lower() in METRIC_GROUND_DISTANCES
 
 
 def euclidean_cross_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

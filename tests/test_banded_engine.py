@@ -425,6 +425,29 @@ class TestOfflineOnlineParity:
         for off, on in zip(offline.points, online_points):
             assert off.score == pytest.approx(on.score, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "ground_distance", ["euclidean", "sqeuclidean", "cityblock", "chebyshev"]
+    )
+    def test_parity_on_a_declared_grid(self, rng, ground_distance):
+        # 2-D histograms on one declared grid take the stacked route, where
+        # the metrics match coincident mass in place before the LP.
+        bags = [rng.normal(0, 1, size=(30, 2)) for _ in range(7)]
+        bags += [rng.normal(2, 1, size=(30, 2)) for _ in range(7)]
+        cfg = DetectorConfig(
+            tau=3, tau_test=3, signature_method="histogram", bins=4,
+            histogram_range=[(-3.0, 5.0), (-3.0, 5.0)], ground_distance=ground_distance,
+            n_bootstrap=30, random_state=3,
+        )
+        offline = BagChangePointDetector(cfg).detect(bags)
+        online_points = OnlineBagDetector(cfg).push_many(bags)
+        assert len(online_points) == len(offline.points)
+        for off, on in zip(offline.points, online_points):
+            assert off.time == on.time
+            assert off.score == pytest.approx(on.score, abs=1e-12)
+            assert off.interval.lower == pytest.approx(on.interval.lower, abs=1e-12)
+            assert off.interval.upper == pytest.approx(on.interval.upper, abs=1e-12)
+            assert off.alert == on.alert
+
     def test_online_push_cost_is_exactly_span_minus_one(self, rng):
         """After warm-up each push performs exactly tau + tau' - 1 EMDs."""
         config = DetectorConfig(

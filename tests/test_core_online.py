@@ -1,5 +1,8 @@
 """Tests for the streaming detector."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,20 @@ class TestOnlineBagDetector:
         offline_scores = {p.time: p.score for p in offline.points}
         for point in emitted:
             assert point.score == pytest.approx(offline_scores[point.time], rel=1e-9)
+
+    def test_histogram_without_range_warns_once(self, rng):
+        # Each bag binned on its own min/max: the stream has no shared grid.
+        config = DetectorConfig(
+            tau=3, tau_test=3, signature_method="histogram", bins=4, n_bootstrap=20
+        )
+        with pytest.warns(UserWarning, match="histogram_range"):
+            detector = OnlineBagDetector(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            detector.push_many([rng.normal(size=(15, 2)) for _ in range(8)])
+            OnlineBagDetector(
+                dataclasses.replace(config, histogram_range=(-4.0, 4.0))
+            ).push_many([rng.normal(size=(15, 2)) for _ in range(8)])
 
     def test_memory_stays_bounded(self, rng, fast_config):
         detector = OnlineBagDetector(fast_config)

@@ -462,6 +462,36 @@ class TestDetectorIntegration:
             assert a.score == b.score
             assert a.alert == b.alert
 
+    @pytest.mark.parametrize("ground_distance", DISTINCT_GROUND_DISTANCES)
+    def test_sharded_declared_grid_matches_plain(self, ground_distance):
+        # Histograms on one declared grid share most of their bins, so the
+        # metric ground distances match that mass in place before the LP.
+        rng = np.random.default_rng(5)
+        bags = [rng.normal(0.0 if t < 12 else 2.0, 1.0, size=(40, 2)) for t in range(24)]
+        kwargs = dict(
+            tau=4,
+            tau_test=4,
+            signature_method="histogram",
+            bins=4,
+            histogram_range=[(-3.0, 5.0), (-3.0, 5.0)],
+            ground_distance=ground_distance,
+            n_bootstrap=40,
+            random_state=0,
+        )
+        plain = BagChangePointDetector(DetectorConfig(**kwargs)).detect(
+            bags, return_distance_matrix=True
+        )
+        sharded = BagChangePointDetector(DetectorConfig(n_shards=3, **kwargs)).detect(
+            bags, return_distance_matrix=True
+        )
+        assert np.max(np.abs(sharded.emd_matrix - plain.emd_matrix)) <= MERGE_TOL
+        assert [p.time for p in plain.points] == [p.time for p in sharded.points]
+        for a, b in zip(plain.points, sharded.points):
+            assert abs(a.score - b.score) <= MERGE_TOL
+            assert abs(a.interval.lower - b.interval.lower) <= MERGE_TOL
+            assert abs(a.interval.upper - b.interval.upper) <= MERGE_TOL
+            assert a.alert == b.alert
+
     def test_detect_writes_and_resumes_checkpoints(self, step_change_bags, tmp_path):
         config = DetectorConfig(
             tau=4,

@@ -267,6 +267,12 @@ def _grid_signature(rng, grid):
     return Signature(grid, rng.uniform(0.5, 2.0, grid.shape[0]))
 
 
+def _disjoint_grid_pair(rng, grid):
+    """A pair on two offset copies of one grid: no atom coincides, so the
+    pair reaches the LP whole, in the ``(d, K, K)`` group."""
+    return _grid_signature(rng, grid), _grid_signature(rng, grid + 0.5)
+
+
 class TestBatchedGroupErrorContext:
     def test_solver_error_carries_pair_indices(self):
         error = SolverError("boom", pair_indices=[3, 1])
@@ -274,15 +280,16 @@ class TestBatchedGroupErrorContext:
         assert SolverError("boom").pair_indices is None
 
     def test_group_failure_reports_compute_pairs_positions(self, monkeypatch):
-        # Batch layout: positions 0, 2 and 3 form one common-support
-        # group; position 1 is an irregular pair solved in a group of
-        # its own.  A failure attributed to row 1 of the first stacked
-        # group must surface as compute_pairs position 2.
+        # Batch layout: positions 0, 2 and 3 form one same-shape group
+        # (disjoint supports, so no mass is matched in place first);
+        # position 1 is an irregular pair solved in a group of its own.
+        # A failure attributed to row 1 of the first stacked group must
+        # surface as compute_pairs position 2.
         from repro.emd import batch as batch_module
 
         rng = np.random.default_rng(0)
         grid = _grid(3, 2)
-        group_pair = lambda: (_grid_signature(rng, grid), _grid_signature(rng, grid))
+        group_pair = lambda: _disjoint_grid_pair(rng, grid)
         irregular = (
             Signature(rng.normal(size=(4, 2)), rng.uniform(0.5, 2.0, 4)),
             Signature(rng.normal(size=(5, 2)), rng.uniform(0.5, 2.0, 5)),
@@ -304,10 +311,7 @@ class TestBatchedGroupErrorContext:
 
         rng = np.random.default_rng(1)
         grid = _grid(3, 2)
-        pairs = [
-            (_grid_signature(rng, grid), _grid_signature(rng, grid))
-            for _ in range(3)
-        ]
+        pairs = [_disjoint_grid_pair(rng, grid) for _ in range(3)]
 
         def failing_solver(*args, **kwargs):
             raise SolverError("synthetic stacked failure")

@@ -13,6 +13,11 @@ tests pin both routes to:
   signature builder and every ground distance;
 * the per-pair LP :func:`~repro.emd.solve_emd_linprog`, with unequal
   masses and zero-weight atoms;
+* the in-place matching of coincident mass under a metric ground
+  distance: the assignment oracle on shared grids, a metamorphic
+  relation (mass added at one shared position moves nothing), the
+  ``sqeuclidean`` counterexample it must not touch, identical
+  signatures with no LP at all, and the duplicate-position fallback;
 * itself under re-batching (full, split, one pair at a time);
 * failure attribution per shape group, with and without a worker pool;
 * the worker pool: pooled chunks equal the serial band, and no worker
@@ -37,7 +42,11 @@ from repro.emd import (
     solve_emd_linprog_batch,
     wasserstein_1d,
 )
-from repro.emd.ground_distance import GROUND_DISTANCES, cross_distance_matrix
+from repro.emd.ground_distance import (
+    GROUND_DISTANCES,
+    METRIC_GROUND_DISTANCES,
+    cross_distance_matrix,
+)
 from repro.exceptions import SolverError
 from repro.signatures import Signature, SignatureBuilder
 from repro.signatures.builders import SIGNATURE_METHODS
@@ -254,6 +263,269 @@ class TestOneDimensionalRoute:
                 sig_a.positions[:, 0], sig_a.weights, sig_b.positions[:, 0], sig_b.weights
             )
 
+    def test_closed_form_bits_do_not_depend_on_the_batch(self):
+        # The closed form pads every support to the batch's largest; a
+        # pair's distance must not move by a single bit when a 40-atom
+        # pair joins its batch, nor when it is solved alone.
+        rng = np.random.default_rng(25)
+        pairs = []
+        for _ in range(2000):
+            size_a, size_b = (int(k) for k in rng.integers(1, 9, size=2))
+            total = max(size_a, size_b) + int(rng.integers(0, 6))
+            pairs.append(
+                (
+                    integer_signature(rng, size_a, 1, total),
+                    integer_signature(rng, size_b, 1, total),
+                )
+            )
+        wide = (integer_signature(rng, 40, 1, 60), integer_signature(rng, 3, 1, 60))
+        engine = PairwiseEMDEngine()
+        batched = engine.compute_pairs(pairs)
+        with_wide = engine.compute_pairs(pairs + [wide])
+        alone = np.array([engine.compute(a, b) for a, b in pairs])
+        assert engine.n_fast_path == engine.n_evaluations
+        np.testing.assert_array_equal(with_wide[:-1], batched)
+        np.testing.assert_array_equal(alone, batched)
+
+
+# ---------------------------------------------------------------------- #
+# Coincident mass matched in place before the LP
+# ---------------------------------------------------------------------- #
+METRICS = ("euclidean", "cityblock", "chebyshev")
+
+
+def grid_points(side, dimension):
+    axes = np.meshgrid(*[np.arange(float(side))] * dimension)
+    return np.column_stack([axis.ravel() for axis in axes])
+
+
+def grid_signature(rng, grid, total):
+    """Integer counts summing to ``total`` on a random subset of ``grid``."""
+    size = int(rng.integers(1, min(total, grid.shape[0]) + 1))
+    atoms = np.sort(rng.choice(grid.shape[0], size, replace=False))
+    counts = np.ones(size, dtype=int)
+    np.add.at(counts, rng.integers(0, size, total - size), 1)
+    return Signature(grid[atoms], counts.astype(float))
+
+
+@st.composite
+def shared_grid_batches(draw):
+    """Integer-count pairs on one grid, most sharing some positions."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    equal = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    grid = grid_points(3, draw(st.sampled_from([2, 3])))
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        total_a = int(rng.integers(1, 12))
+        total_b = total_a if equal else int(rng.integers(1, 12))
+        pairs.append((grid_signature(rng, grid, total_a), grid_signature(rng, grid, total_b)))
+    return pairs
+
+
+class LPSpy:
+    """Wraps the stacked solver and records the shape of every LP it ran."""
+
+    def __init__(self, monkeypatch):
+        from repro.emd import batch as batch_module
+
+        self.real = batch_module.solve_emd_linprog_batch
+        self.shapes = []
+        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", self)
+
+    def __call__(self, cost, supply, demand, **kwargs):
+        self.shapes.extend([(supply.shape[1], demand.shape[1])] * supply.shape[0])
+        return self.real(cost, supply, demand, **kwargs)
+
+
+class TestCoincidentMass:
+    def test_metric_names_are_the_triangle_inequality_ones(self):
+        assert set(METRIC_GROUND_DISTANCES) == set(GROUND_DISTANCES) - {"sqeuclidean"}
+
+    @pytest.mark.parametrize("ground_distance", METRICS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(pairs=shared_grid_batches())
+    def test_shared_grid_pairs_match_assignment_oracle(self, ground_distance, pairs):
+        engine = PairwiseEMDEngine(ground_distance=ground_distance)
+        values = engine.compute_pairs(pairs)
+        expected = [assignment_emd(a, b, ground_distance) for a, b in pairs]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=ORACLE_TOL)
+        # Vanished pairs (no LP) still count as stacked.
+        assert engine.n_linprog_batched == engine.n_evaluations == len(pairs)
+        assert engine.n_fast_path == 0
+
+    @pytest.mark.parametrize("equal_masses", [True, False])
+    @pytest.mark.parametrize("ground_distance", METRICS)
+    def test_mass_added_at_a_shared_position_moves_nothing(
+        self, ground_distance, equal_masses
+    ):
+        # Metamorphic: m more units at one position of both signatures is
+        # matched in place, so the transport cost (EMD x total flow) stays.
+        rng = np.random.default_rng(METRICS.index(ground_distance) + 10 * equal_masses)
+        grid = grid_points(4, 2)
+        base, grown = [], []
+        for _ in range(30):
+            pair = []
+            for _side in range(2):
+                atoms = np.sort(rng.choice(grid.shape[0], 6, replace=False))
+                atoms[0] = 0  # grid[0] is in both supports
+                pair.append([grid[atoms], rng.uniform(0.2, 2.0, 6)])
+            if equal_masses:
+                pair[1][1] *= pair[0][1].sum() / pair[1][1].sum()
+            base.append(tuple(Signature(p, w) for p, w in pair))
+            mass = rng.uniform(0.1, 3.0)
+            bumped = []
+            for positions, weights in pair:
+                weights = weights.copy()
+                weights[0] += mass
+                bumped.append(Signature(positions, weights))
+            grown.append(tuple(bumped))
+
+        def transport_costs(pairs):
+            values = PairwiseEMDEngine(ground_distance=ground_distance).compute_pairs(pairs)
+            flows = [min(a.total_weight, b.total_weight) for a, b in pairs]
+            return values * np.array(flows)
+
+        np.testing.assert_allclose(
+            transport_costs(grown), transport_costs(base), rtol=0, atol=PARITY_TOL
+        )
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_sqeuclidean_keeps_its_pairs_whole(self, dimension, monkeypatch):
+        # Under a non-metric the coincident unit at 1 must move: matching
+        # it in place would leave 0 -> 2 at cost 4, i.e. an EMD of 2.0.
+        def at(*xs):
+            return np.array([[x] + [0.0] * (dimension - 1) for x in xs])
+
+        pair = (Signature(at(0.0, 1.0), np.ones(2)), Signature(at(1.0, 2.0), np.ones(2)))
+        spy = LPSpy(monkeypatch)
+        engine = PairwiseEMDEngine(ground_distance="sqeuclidean")
+        assert engine.compute_pairs([pair])[0] == pytest.approx(1.0, abs=PARITY_TOL)
+        assert spy.shapes == [(2, 2)]
+        assert emd(*pair, ground_distance="sqeuclidean", backend="linprog") == pytest.approx(
+            1.0, abs=PARITY_TOL
+        )
+
+    @pytest.mark.parametrize("ground_distance", METRICS)
+    def test_identical_signatures_need_no_lp(self, ground_distance, monkeypatch):
+        rng = np.random.default_rng(12)
+        signature = Signature(grid_points(3, 2), rng.uniform(0.5, 2.0, 9))
+        spy = LPSpy(monkeypatch)
+        engine = PairwiseEMDEngine(ground_distance=ground_distance)
+        assert engine.compute_pairs([(signature, signature)])[0] == 0.0
+        assert spy.shapes == []
+        assert engine.n_linprog_batched == engine.n_evaluations == 1
+
+    def test_lighter_side_matched_in_full_needs_no_lp(self, monkeypatch):
+        grid = grid_points(3, 2)
+        light = Signature(grid[:3], np.array([1.0, 2.0, 0.5]))
+        heavy = Signature(grid, np.full(9, 2.0))
+        spy = LPSpy(monkeypatch)
+        values = PairwiseEMDEngine().compute_pairs([(light, heavy), (heavy, light)])
+        np.testing.assert_array_equal(values, [0.0, 0.0])
+        assert spy.shapes == []
+        assert emd(light, heavy, backend="linprog") == pytest.approx(0.0, abs=PARITY_TOL)
+
+    def test_only_the_moving_mass_reaches_the_lp(self, monkeypatch):
+        # a = {x: 2, y: 1}, b = {x: 1, z: 1}: one unit stays at x, and the
+        # LP sees a's {x: 1, y: 1} against b's {z: 1}.
+        x, y, z = [0.0, 0.0], [1.0, 0.0], [0.0, 2.0]
+        sig_a = Signature(np.array([x, y]), np.array([2.0, 1.0]))
+        sig_b = Signature(np.array([x, z]), np.array([1.0, 1.0]))
+        spy = LPSpy(monkeypatch)
+        value = PairwiseEMDEngine().compute(sig_a, sig_b)
+        assert spy.shapes == [(2, 1)]
+        # 1 unit in place, 1 unit x -> z at cost 2 (or y -> z at sqrt 5).
+        assert value == pytest.approx(1.0, abs=PARITY_TOL)
+        assert value == pytest.approx(emd(sig_a, sig_b, backend="linprog"), abs=PARITY_TOL)
+
+    @pytest.mark.parametrize("ground_distance", METRICS)
+    def test_duplicate_positions_fall_back_to_the_whole_pair(
+        self, ground_distance, monkeypatch
+    ):
+        rng = np.random.default_rng(13)
+        grid = grid_points(3, 2)
+        pairs = []
+        for _ in range(10):
+            # Atom 0 and atom 3 of a sit at the same point, which b has too.
+            positions_a = grid[[0, 1, 2, 0]]
+            pairs.append(
+                (
+                    Signature(positions_a, rng.uniform(0.5, 2.0, 4)),
+                    Signature(grid[[0, 4, 8]], rng.uniform(0.5, 2.0, 3)),
+                )
+            )
+        spy = LPSpy(monkeypatch)
+        values = PairwiseEMDEngine(ground_distance=ground_distance).compute_pairs(pairs)
+        assert spy.shapes == [(4, 3)] * len(pairs)
+        expected = [
+            emd(a, b, ground_distance=ground_distance, backend="linprog") for a, b in pairs
+        ]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=PARITY_TOL)
+
+    def test_duplicates_elsewhere_do_not_block_the_match(self, monkeypatch):
+        # a repeats a point b lacks; the shared point is still matched,
+        # and a's atom there, used up, leaves the LP.
+        positions_a = np.array([[0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
+        sig_a = Signature(positions_a, np.array([1.0, 1.0, 1.0]))
+        sig_b = Signature(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([2.0, 1.0]))
+        spy = LPSpy(monkeypatch)
+        value = PairwiseEMDEngine().compute(sig_a, sig_b)
+        assert spy.shapes == [(2, 2)]
+        assert value == pytest.approx(emd(sig_a, sig_b, backend="linprog"), abs=PARITY_TOL)
+
+    def test_failing_residual_chunk_reports_compute_pairs_positions(self, monkeypatch):
+        from repro.emd import batch as batch_module
+
+        x, y, z = [0.0, 0.0], [1.0, 0.0], [0.0, 2.0]
+        same = Signature(np.array([x, y]), np.array([1.0, 1.0]))
+        reduced = (
+            Signature(np.array([x, y]), np.array([2.0, 1.0])),
+            Signature(np.array([x, z]), np.array([1.0, 1.0])),
+        )
+        # Positions 0 and 2 vanish; 1 and 3 share one (2, 1) residual LP.
+        pairs = [(same, same), reduced, (same, same), reduced]
+
+        def failing_solver(cost, supply, demand, **kwargs):
+            assert supply.shape == (2, 2) and demand.shape == (2, 1)
+            raise SolverError("synthetic residual failure", pair_indices=[1])
+
+        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_solver)
+        with pytest.raises(SolverError) as excinfo:
+            PairwiseEMDEngine().compute_pairs(pairs)
+        assert excinfo.value.pair_indices == (3,)
+
+    def test_coincidence_blocks_stay_under_the_cost_cap(self, monkeypatch):
+        # 300 pairs of 16 x 16 atoms in 2-D: the test compares at most
+        # 65,536 coordinates at once (three blocks), and the blocks agree
+        # with one pair at a time.
+        from repro.emd import batch as batch_module
+
+        rng = np.random.default_rng(14)
+        grid = grid_points(4, 2)
+        pairs = [
+            (
+                Signature(grid, rng.integers(1, 5, 16).astype(float)),
+                Signature(grid, rng.integers(1, 5, 16).astype(float)),
+            )
+            for _ in range(300)
+        ]
+        real_match = batch_module._match_in_place
+        blocks = []
+
+        def recording_match(sigs_a, sigs_b, keep_a, keep_b, w_a, w_b):
+            blocks.append(keep_a.shape[1] * keep_b.shape[1] * 2 * len(sigs_a))
+            return real_match(sigs_a, sigs_b, keep_a, keep_b, w_a, w_b)
+
+        monkeypatch.setattr(batch_module, "_match_in_place", recording_match)
+        engine = PairwiseEMDEngine()
+        values = engine.compute_pairs(pairs)
+        assert len(blocks) == 3 and max(blocks) <= 65_536
+        single = np.array([engine.compute(a, b) for a, b in pairs])
+        np.testing.assert_allclose(single, values, rtol=0, atol=PARITY_TOL)
+        expected = [assignment_emd(a, b) for a, b in pairs[:20]]
+        np.testing.assert_allclose(values[:20], expected, rtol=0, atol=ORACLE_TOL)
+
 
 # ---------------------------------------------------------------------- #
 # Per-pair LP parity
@@ -421,9 +693,17 @@ class TestShapeGroupFailures:
 # Worker pool
 # ---------------------------------------------------------------------- #
 class TestWorkerPool:
-    def test_process_pool_solves_the_chunks_like_serial(self):
+    @pytest.mark.parametrize("shared_grid", [False, True], ids=["irregular", "shared-grid"])
+    def test_process_pool_solves_the_chunks_like_serial(self, shared_grid):
         rng = np.random.default_rng(11)
-        pairs = random_pairs(rng, 200)
+        if shared_grid:  # residual chunks, after in-place matching
+            grid = grid_points(3, 2)
+            pairs = [
+                (grid_signature(rng, grid, 12), grid_signature(rng, grid, 9))
+                for _ in range(200)
+            ]
+        else:
+            pairs = random_pairs(rng, 200)
         reference = PairwiseEMDEngine().compute_pairs(pairs)
         with PairwiseEMDEngine(parallel_backend="process", n_workers=2) as engine:
             values = engine.compute_pairs(pairs)
