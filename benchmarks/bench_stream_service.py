@@ -25,12 +25,11 @@ Sections:
   remaining bags are replayed; the recombined history must match the
   uninterrupted run at 1e-12;
 * **batched drain** — a wide replay (``--batch-streams``, default 64)
-  on the ``linprog_batch`` backend, drained sequentially (one solve per
-  stream per round) and through the cross-stream batched scheduler
-  (``SupervisorPolicy(batch_drain=True)``: one stacked solve per
-  round).  Full mode gates the batched speedup at ``--batch-speedup``
-  (default 2x); parity between the two drains is gated at 1e-12 in
-  both modes.
+  on the ``linprog_batch`` backend, run as independent ``push`` loops
+  (one solve per stream per bag) and through the supervisor, whose
+  drain rounds stack every stream's pairs into one solve.  Full mode
+  gates the supervisor's speedup at ``--batch-speedup`` (default 2x);
+  parity between the two runs is gated at 1e-12 in both modes.
 
 Run standalone::
 
@@ -88,9 +87,9 @@ def batched_stream_config(index, seed, backend):
     """A stream config for the batched-drain section.
 
     Histogram signatures on one declared grid give many pairs of the
-    same ``(d, K_a, K_b)`` shape across streams, so the cross-stream
-    drain stacks them into a few block-diagonal LP chunks where the
-    sequential drain solves each stream's pairs on their own.
+    same ``(d, K_a, K_b)`` shape across streams, so the supervisor's
+    drain rounds stack them into a few block-diagonal LP chunks where a
+    ``push`` loop solves each stream's pairs on their own.
     """
     return DetectorConfig(
         tau=3,
@@ -188,8 +187,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--batch-speedup", type=float, default=2.0,
-        help="minimum batched-over-sequential drain speedup enforced in "
-        "full mode",
+        help="minimum speedup of the supervisor's stacked drain over "
+        "independent push loops, enforced in full mode",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -306,7 +305,7 @@ def main(argv=None) -> int:
     print(f"max history |recovered - indep|  = {recovered_diff:.2e}")
 
     # ------------------------------------------------------------------ #
-    # Batched-drain section: sequential vs one stacked solve per round.
+    # Batched-drain section: push loops vs one stacked solve per round.
     # ------------------------------------------------------------------ #
     batch_streams = 4 if args.quick else args.batch_streams
     batch_bags = 8 if args.quick else args.batch_bags
@@ -316,22 +315,20 @@ def main(argv=None) -> int:
     batch_speedup_ok = True
     print(
         f"\nbatched drain: {batch_streams} streams x {batch_bags} bags, "
-        "sequential vs cross-stream stacked solves"
+        "push loops vs cross-stream stacked solves"
     )
-    print(f"{'backend':<16}{'seq s':>9}{'batched s':>11}{'speedup':>9}{'parity':>11}")
+    print(f"{'backend':<16}{'push s':>9}{'batched s':>11}{'speedup':>9}{'parity':>11}")
     backend = "linprog_batch"
     batch_configs = [
         batched_stream_config(i, args.seed + 200, backend)
         for i in range(batch_streams)
     ]
-    sequential_time, (_, _, sequential_hist) = timed(
-        lambda configs=batch_configs: run_supervised(
-            configs, batch_bag_sets, plain_policy
-        )
+    sequential_time, sequential_hist = timed(
+        lambda configs=batch_configs: run_independent(configs, batch_bag_sets)
     )
     batched_time, (_, _, batched_hist) = timed(
         lambda configs=batch_configs: run_supervised(
-            configs, batch_bag_sets, SupervisorPolicy(batch_drain=True)
+            configs, batch_bag_sets, plain_policy
         )
     )
     diff = history_parity(batched_hist, sequential_hist)
@@ -419,7 +416,7 @@ def main(argv=None) -> int:
             backend: result["parity_diff"]
             for backend, result in batch_results.items()
         }
-        print(f"FAIL: batched drain disagrees with sequential drain: {worst}")
+        print(f"FAIL: batched drain disagrees with push loops: {worst}")
         return 1
     if not batch_speedup_ok:
         speedups = {

@@ -36,8 +36,8 @@ round-robin across ``--streams`` named online detector streams running
 behind bounded ingest queues, with snapshot/restore (``--snapshot-dir``
 / ``--snapshot-every``), a per-stream fault-isolation policy
 (``--on-stream-error``) and a backpressure policy (``--backpressure``).
-``--batch-drain`` stacks every stream's pending solves into one
-cross-stream batched solve per drain round.  Scores are printed as CSV
+Each drain round stacks every stream's pending solves into one
+cross-stream solve.  Scores are printed as CSV
 with a leading ``stream`` column; the supervisor's robustness metrics go
 to standard error.
 

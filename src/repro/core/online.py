@@ -176,6 +176,7 @@ class OnlineBagDetector:
         # so a long-running stream's memory stays O(limit).
         self._history: Deque[ScorePoint] = deque(maxlen=config.history_limit)
         self._history_result: Optional[DetectionResult] = None
+        self._n_distance_evaluations = 0
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -302,8 +303,15 @@ class OnlineBagDetector:
 
     @property
     def n_distance_evaluations(self) -> int:
-        """Total EMD evaluations performed by the engine so far."""
-        return self._engine.n_evaluations
+        """Solved (finite) distances this detector object has committed.
+
+        Counted at :meth:`commit`, so it is the same whoever solved the
+        pairs: :meth:`push`'s own engine, or a supervisor round's shared
+        one.  Masked entries (:meth:`push_masked`, degraded commits)
+        count 0.  Not part of :meth:`state_dict`: a restored detector
+        starts from 0.
+        """
+        return self._n_distance_evaluations
 
     @property
     def history(self) -> DetectionResult:
@@ -385,6 +393,7 @@ class OnlineBagDetector:
             )
         self._apply_distances(pending.signature, values)
         self._next_index += 1
+        self._n_distance_evaluations += int(np.isfinite(values).sum())
         return self._emit()
 
     def rollback(self, pending: PendingPush) -> None:

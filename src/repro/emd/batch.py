@@ -27,8 +27,9 @@ The engine has one route, exact, taken pair by pair:
   only the mass that moves reaches the LP, and a pair with nothing left
   on one side is exactly 0.  The residual pairs are grouped by
   ``(dimension, K_a, K_b)`` of what is left, and each chunk of a group
-  is solved as one block-diagonal HiGHS model by
-  :func:`~repro.emd.linprog_batch.solve_emd_linprog_batch`, over a
+  is solved as one block-diagonal HiGHS model by the core of
+  :func:`~repro.emd.linprog_batch.solve_emd_linprog_batch`, without its
+  input checks (the engine built the inputs itself), over a
   ``(P, K_a, K_b)`` cost tensor built only when that chunk is solved.
 
 The per-pair solvers ``"linprog"`` and ``"simplex"`` live only in
@@ -83,7 +84,7 @@ from .ground_distance import (
     is_metric,
     paired_cross_distances,
 )
-from .linprog_batch import chunk_slices, solve_emd_linprog_batch
+from .linprog_batch import _solve_batch_unchecked, chunk_slices
 from .one_dimensional import _partial_emd_1d
 from .registry import EMD_SOLVERS, PARALLEL_BACKENDS, ParallelBackendName
 
@@ -555,7 +556,7 @@ def _solve_stacked_chunk(args: _StackedJob) -> np.ndarray:
         ground_distance,
     )
     try:
-        result = solve_emd_linprog_batch(cost, chunk.supply, chunk.demand)
+        result = _solve_batch_unchecked(cost, chunk.supply, chunk.demand)
     except SolverError as exc:
         raise _translate_group_error(exc, chunk.members) from exc
     moved = chunk.matched + result.total_flows

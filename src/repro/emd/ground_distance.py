@@ -152,7 +152,8 @@ def paired_cross_distances(
     largest count with ``q² · K · L ≤ 65,536`` entries per call (at least
     one pair), so a chunk of many tiny pairs never builds a quadratic
     matrix.  The inputs must be finite and share ``d``; the callers pass
-    validated signature positions.
+    validated signature positions.  Negative distances, and a callable's
+    non-finite ones, raise :class:`~repro.exceptions.ConfigurationError`.
     """
     n_pairs, size_a, dim = positions_a.shape
     size_b = positions_b.shape[1]
@@ -178,4 +179,8 @@ def paired_cross_distances(
         out[start:stop] = dist.reshape(q, size_a, q, size_b)[diagonal, :, diagonal, :]
     if np.any(out < 0):
         raise ConfigurationError("ground distances must be non-negative")
+    if callable(metric) and not np.all(np.isfinite(out)):
+        # The named metrics of finite positions are finite; a callable's
+        # NaN or infinity would otherwise reach the LP unchecked.
+        raise ConfigurationError("ground distance callable returned non-finite values")
     return out

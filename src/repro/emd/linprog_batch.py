@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple, Optional, Tuple
+from typing import Any, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -84,12 +84,11 @@ def _check_weight_rows(weights: np.ndarray, name: str) -> np.ndarray:
 
 def _check_batch_shapes(
     cost: np.ndarray, supply: np.ndarray, demand: np.ndarray
-) -> Tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Validate a batched problem's cost/weights geometry.
 
     ``supply`` and ``demand`` must already be validated 2-D rows (see
-    :func:`_check_weight_rows`).  Returns the cost as a float array
-    together with the pair count ``P``.
+    :func:`_check_weight_rows`).  Returns the cost as a float array.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim not in (2, 3):
@@ -108,7 +107,7 @@ def _check_batch_shapes(
         raise ValidationError(
             f"per-pair cost has {cost.shape[0]} matrices for {n_pairs} pairs"
         )
-    return cost, n_pairs
+    return cost
 
 
 def chunk_slices(
@@ -404,11 +403,38 @@ def solve_emd_linprog_batch(
     """
     supply = _check_weight_rows(supply, "supply")
     demand = _check_weight_rows(demand, "demand")
-    cost, n_pairs = _check_batch_shapes(cost, supply, demand)
+    cost = _check_batch_shapes(cost, supply, demand)
     if cost.size and not np.all(np.isfinite(cost)):
         raise ValidationError("cost matrix contains non-finite values")
-    max_batch_variables = check_positive_int(max_batch_variables, "max_batch_variables")
+    return _solve_batch_unchecked(
+        cost,
+        supply,
+        demand,
+        return_flows=return_flows,
+        presolve=presolve,
+        max_batch_variables=check_positive_int(max_batch_variables, "max_batch_variables"),
+    )
 
+
+def _solve_batch_unchecked(
+    cost: np.ndarray,
+    supply: np.ndarray,
+    demand: np.ndarray,
+    *,
+    return_flows: bool = False,
+    presolve: bool = False,
+    max_batch_variables: int = _MAX_BATCH_VARIABLES,
+) -> LinprogBatchResult:
+    """:func:`solve_emd_linprog_batch` without its input validation.
+
+    For callers that built the inputs themselves — the engine's stacked
+    route solves many small chunks, and re-checking arrays it just
+    assembled cost a visible share of each one.  The inputs must be
+    what the public function would have accepted: float ``(P, m)`` and
+    ``(P, n)`` finite non-negative weights, a finite non-negative
+    ``(m, n)`` or ``(P, m, n)`` cost, and a positive variable cap.
+    """
+    n_pairs = supply.shape[0]
     m, n = supply.shape[1], demand.shape[1]
     flows_out = np.zeros((n_pairs, m, n), dtype=float) if return_flows else None
     costs = np.zeros(n_pairs, dtype=float)

@@ -4,12 +4,13 @@ Two orthogonal policy axes govern how :class:`repro.service.StreamSupervisor`
 reacts to trouble:
 
 * **Stream-error policy** — what a :class:`~repro.exceptions.SolverError`
-  during one stream's push does to that stream (never to its siblings):
+  in one stream's solve does to that stream (never to its siblings):
 
   ``"strict"``
       The bag goes back to the front of the stream's queue and the error
-      propagates to the caller.  The failed push left the detector
-      untouched, so draining again simply retries the same bag.
+      propagates to the caller.  The failed push is rolled back, so
+      draining again simply retries the same bag; points the drain call
+      had already emitted are buffered for the next drain.
   ``"degraded"``
       The bag is consumed through the detector's masked path: every
       inspection point whose window still contains it emits a NaN score
@@ -36,16 +37,14 @@ reacts to trouble:
       A :class:`~repro.exceptions.BackpressureError` naming the stream
       and its queue depth is raised.
 
-Orthogonal to both axes, ``batch_drain`` switches the supervisor's
-round-robin drain to the **cross-stream batched** scheduler: each round
-collects one pending bag per active stream, stacks every (new, window)
-signature pair across streams into one
-:meth:`~repro.emd.PairwiseEMDEngine.compute_pairs` call, then commits each
-stream independently.  Distances are pair-local in the engine's routing,
-so the batched drain commits to within 1e-12 of the sequential drain
-(a stacked LP may move the last ulp with its chunk's
-composition) while paying the solver's setup cost once per round
-instead of once per stream.
+Every drain — round-robin, single-stream, or the inline ``"block"``
+push — runs in **cross-stream rounds**: each round collects one pending
+bag per active stream, stacks every (new, window) signature pair across
+streams into one :meth:`~repro.emd.PairwiseEMDEngine.compute_pairs`
+call, then commits each stream independently.  Distances are pair-local
+in the engine's routing, so each stream commits to within 1e-12 of its
+own :meth:`~repro.core.OnlineBagDetector.push` replay (a stacked LP may
+move the last ulp with its chunk's composition).
 """
 
 from __future__ import annotations
@@ -89,12 +88,9 @@ class SupervisorPolicy:
         :meth:`~repro.service.StreamSupervisor.snapshot`, quarantine and
         :meth:`~repro.service.StreamSupervisor.close`.
     batch_drain:
-        Route round-robin :meth:`~repro.service.StreamSupervisor.drain`
-        through the cross-stream batched scheduler: one stacked solve
-        per round across all active streams instead of one solve per
-        stream (see module docstring).  Single-stream drains
-        (``drain(name=...)``) and inline backpressure drains stay
-        sequential either way.
+        Always ``True``: every drain is a cross-stream round (see module
+        docstring).  Any other value is rejected; the field only keeps
+        callers that still pass it working, and is not a CLI flag.
 
     Like :class:`~repro.core.DetectorConfig`, each field's ``metadata``
     holds its CLI help and ``CHOICES`` its accepted values.
@@ -131,14 +127,10 @@ class SupervisorPolicy:
             "--snapshot-dir); streams are always snapshotted at shutdown"
         },
     )
-    batch_drain: bool = field(
-        default=False,
-        metadata={
-            "help": "drain all streams through one cross-stream stacked solve "
-            "per round instead of one solve per stream (scores within 1e-12 "
-            "of the sequential drain)"
-        },
-    )
+    # Accepted only as True, for callers that still pass it (perfbench's
+    # grid_fleet workload); removed with the next benchmark change
+    # (ROADMAP item 2).
+    batch_drain: bool = field(default=True, metadata={"cli": False})
 
     def __post_init__(self) -> None:
         check_choices(self)
@@ -153,7 +145,8 @@ class SupervisorPolicy:
                 f"snapshot_every must be a positive integer or None, "
                 f"got {self.snapshot_every!r}"
             )
-        if not isinstance(self.batch_drain, bool):
+        if self.batch_drain is not True:
             raise ConfigurationError(
-                f"batch_drain must be a bool, got {self.batch_drain!r}"
+                f"batch_drain must be True (every drain is a cross-stream "
+                f"round), got {self.batch_drain!r}"
             )

@@ -9,12 +9,13 @@ queues, with three robustness layers:
    (:mod:`repro.service.snapshots`); a supervisor pointed at the same
    directory restores every stream on :meth:`add_stream` and continues
    it bit-identically.
-2. **Per-stream fault isolation** — a solver failure during one
-   stream's push is handled by the configured
+2. **Per-stream fault isolation** — a solver failure in one stream's
+   share of a drain round is handled by the configured
    :class:`~repro.service.SupervisorPolicy` (strict / degraded /
    quarantine) and never perturbs sibling streams: each stream owns its
-   detector, generator and queue, and the detector's push-retryability
-   contract guarantees the failed stream itself is left consistent.
+   detector, generator and queue, and the detector's two-phase
+   prepare/commit/rollback contract leaves the failed stream itself
+   consistent.
 3. **Backpressure** — per-stream queues are bounded; a full queue
    blocks (drains inline), sheds, or raises, per policy, and the
    supervisor exposes shed/quarantine/restore counters and queue depths
@@ -117,10 +118,10 @@ class StreamSupervisor:
         self.n_degraded_points = 0
         self.n_snapshots_written = 0
         #: Points emitted outside a drain() call (inline backpressure
-        #: drains, batched rounds aborted by a strict error) — returned,
-        #: and cleared, by the next drain().
+        #: drains, rounds aborted by a strict error) — returned, and
+        #: cleared, by the next drain().
         self._pending_emissions: List[Tuple[str, ScorePoint]] = []
-        #: Shared solve engines of the batched drain, keyed by the
+        #: Shared solve engines of the drain rounds, keyed by the
         #: solver-relevant EngineSettings fingerprint of the stream
         #: configs — streams with identical solver settings share one
         #: engine (and therefore one stacked solve per round).
@@ -219,9 +220,9 @@ class StreamSupervisor:
 
         A quarantined stream sheds every submission (counted on
         ``n_shed_quarantined``).  A full queue follows the backpressure
-        policy: ``"block"`` processes one queued bag of this stream
-        inline to make room — any point that push emits is buffered and
-        delivered by the next :meth:`drain` — ``"shed"`` drops the new
+        policy: ``"block"`` runs a one-stream round on the oldest
+        queued bag inline to make room — any point it emits is buffered
+        and delivered by the next :meth:`drain` — ``"shed"`` drops the new
         bag (counted on ``n_shed_backpressure``), ``"error"`` raises
         :class:`~repro.exceptions.BackpressureError`.
         """
@@ -245,8 +246,11 @@ class StreamSupervisor:
             # "block": make room by processing the oldest queued bag now.
             # The emitted point (possibly an alarm) must not be dropped
             # on the floor just because it surfaced outside a drain()
-            # call — buffer it for the next drain.
-            self._collect(stream, limit=1, into=self._pending_emissions)
+            # call — buffer it for the next drain.  The round gets its
+            # own list: a strict raise moves that list into the buffer.
+            emitted: List[Tuple[str, ScorePoint]] = []
+            self._round([stream], emitted)
+            self._pending_emissions.extend(emitted)
             if stream.status == QUARANTINED:
                 self.n_shed_quarantined += 1
                 return False
@@ -259,16 +263,38 @@ class StreamSupervisor:
         """Process queued bags; return the emitted ``(stream, point)`` pairs.
 
         Points that were emitted *between* drains — by inline
-        backpressure pushes under the ``"block"`` policy, or by a
-        batched round aborted by a strict-mode error — are returned
-        first (and their buffer cleared), whatever ``name`` says.
+        backpressure pushes under the ``"block"`` policy, or by a round
+        aborted by a strict-mode error — are returned first (and their
+        buffer cleared), whatever ``name`` says.
 
-        With ``name`` only that stream is drained; otherwise streams are
-        drained round-robin (one bag per stream per round) so no stream
-        can starve its siblings.  When the policy's ``batch_drain`` is
-        on, the round-robin path runs each round as one cross-stream
-        stacked solve (see :meth:`drain_batched`); single-stream drains
-        stay sequential.
+        The drain runs in rounds.  Each round pops one bag per active
+        stream (so no stream can starve its siblings; with ``name``, one
+        bag of that stream only), runs
+        :meth:`~repro.core.OnlineBagDetector.prepare` on each (no state
+        mutates), stacks every (new, window) signature pair of every
+        stream sharing solver settings into **one**
+        :meth:`~repro.emd.PairwiseEMDEngine.compute_pairs` call, scatters
+        the distances back, and commits each stream independently — so
+        the stacked LPs amortise their setup over the whole fleet
+        instead of paying it per stream.  The engine's routing is
+        pair-local, so every stream commits to within 1e-12 of its own
+        :meth:`~repro.core.OnlineBagDetector.push` replay, and a round
+        of one stream solves exactly the pairs ``push`` would.
+
+        Fault isolation survives the stacking: a
+        :class:`~repro.exceptions.SolverError` from the stacked solve is
+        attributed to the owning streams through its ``pair_indices``
+        and the round's pair→stream map; only those streams take the
+        ``on_stream_error`` policy, and every sibling that merely shared
+        the stack is rescued by re-solving its own pairs alone (exactly
+        its ``push`` solve).  An unattributable error (no
+        ``pair_indices``) re-solves every stream alone instead.  A group
+        with a single member is never rescued: its failed solve was
+        already its own, so it takes the policy just as a failed
+        ``push`` would.  In strict mode the healthy streams of the round
+        commit *before* the error propagates, and the points they — and
+        the earlier rounds of this call — emitted are buffered for the
+        next :meth:`drain` so the raise cannot lose them.
 
         ``limit`` caps the number of bags **attempted** in this call,
         not the number of points emitted: a bag that warms up a window
@@ -281,100 +307,19 @@ class StreamSupervisor:
         processed when they were buffered).
         """
         self._check_open()
-        emitted: List[Tuple[str, ScorePoint]] = []
-        if self._pending_emissions:
-            emitted.extend(self._pending_emissions)
-            self._pending_emissions.clear()
+        emitted = list(self._pending_emissions)
+        self._pending_emissions.clear()
+        streams = (
+            [self._stream(name)] if name is not None else list(self._streams.values())
+        )
         remaining = limit
-        if name is not None:
-            self._collect(self._stream(name), limit=remaining, into=emitted)
-            return emitted
-        if self.policy.batch_drain:
-            self._drain_batched(emitted, remaining)
-            return emitted
         while remaining is None or remaining > 0:
-            progressed = False
-            for stream in list(self._streams.values()):
-                if stream.status != ACTIVE or not stream.queue:
-                    continue
-                n = self._collect(stream, limit=1, into=emitted)
-                progressed = True
-                if remaining is not None:
-                    remaining -= n
-                    if remaining <= 0:
-                        return emitted
-            if not progressed:
-                break
-        return emitted
-
-    def _collect(
-        self,
-        stream: _StreamState,
-        limit: Optional[int] = None,
-        into: Optional[List[Tuple[str, ScorePoint]]] = None,
-    ) -> int:
-        """Process up to ``limit`` queued bags of one stream; count them."""
-        processed = 0
-        while stream.queue and stream.status == ACTIVE:
-            if limit is not None and processed >= limit:
-                break
-            point = self._process_one(stream)
-            processed += 1
-            if point is not None and into is not None:
-                into.append((stream.name, point))
-        return processed
-
-    # ------------------------------------------------------------------ #
-    # Cross-stream batched drain
-    # ------------------------------------------------------------------ #
-    def drain_batched(
-        self, limit: Optional[int] = None
-    ) -> List[Tuple[str, ScorePoint]]:
-        """Round-robin drain with one stacked solve per round.
-
-        Each round pops one bag per active stream, runs
-        :meth:`~repro.core.OnlineBagDetector.prepare` on each (no state
-        mutates), stacks every (new, window) signature pair of every
-        stream sharing solver settings into **one**
-        :meth:`~repro.emd.PairwiseEMDEngine.compute_pairs` call, scatters
-        the distances back, and commits each stream independently — so
-        the stacked LPs amortise their setup over the whole fleet
-        instead of paying it per stream.  The engine's routing is
-        pair-local, so every stream commits to within 1e-12 of a
-        sequential :meth:`drain`.
-
-        Fault isolation survives the stacking: a
-        :class:`~repro.exceptions.SolverError` from the stacked solve is
-        attributed to the owning streams through its ``pair_indices``
-        and the round's pair→stream map; only those streams take the
-        ``on_stream_error`` policy, and every sibling that merely shared
-        the stack is rescued by re-solving its own pairs alone (exactly
-        the sequential solve).  An unattributable error (no
-        ``pair_indices``) re-solves every stream alone instead.  In
-        strict mode the healthy streams of the round commit *before*
-        the error propagates, and the points they emitted are buffered
-        for the next :meth:`drain` so the raise cannot lose them.
-
-        ``limit`` caps attempted bags, with the same attempts-not-
-        emissions semantics as :meth:`drain`.
-        """
-        self._check_open()
-        emitted: List[Tuple[str, ScorePoint]] = []
-        if self._pending_emissions:
-            emitted.extend(self._pending_emissions)
-            self._pending_emissions.clear()
-        self._drain_batched(emitted, limit)
-        return emitted
-
-    def _drain_batched(
-        self, into: List[Tuple[str, ScorePoint]], remaining: Optional[int]
-    ) -> None:
-        while remaining is None or remaining > 0:
-            n = self._drain_round_batched(into, remaining)
-            if n == 0:
+            attempted = self._round(streams, emitted, remaining)
+            if attempted == 0:
                 break
             if remaining is not None:
-                remaining -= n
+                remaining -= attempted
+        return emitted
 
     def _batch_engine(self, stream: _StreamState) -> PairwiseEMDEngine:
         """The shared solve engine for this stream's solver settings."""
@@ -396,10 +341,13 @@ class StreamSupervisor:
             return set()
         return {owners[j] for j in exc.pair_indices if 0 <= j < len(owners)}
 
-    def _drain_round_batched(
-        self, into: List[Tuple[str, ScorePoint]], max_streams: Optional[int]
+    def _round(
+        self,
+        streams: List[_StreamState],
+        into: List[Tuple[str, ScorePoint]],
+        max_streams: Optional[int] = None,
     ) -> int:
-        """One batched round; returns the number of bags attempted."""
+        """One drain round over ``streams``; returns the bags attempted."""
         # Phase 1 — pop one bag per eligible stream and prepare it
         # (quantise + enumerate pairs; no detector state mutates yet).
         prepared: List[Tuple[_StreamState, np.ndarray, PendingPush]] = []
@@ -407,7 +355,7 @@ class StreamSupervisor:
             Tuple[_StreamState, np.ndarray, Optional[PendingPush], SolverError]
         ] = []
         attempts = 0
-        for stream in list(self._streams.values()):
+        for stream in streams:
             if max_streams is not None and attempts >= max_streams:
                 break
             if stream.status != ACTIVE or not stream.queue:
@@ -441,16 +389,18 @@ class StreamSupervisor:
             try:
                 stacked = engine.compute_pairs(flat_pairs)
             except SolverError as exc:
-                implicated = self._implicated(exc, owners)
+                # A lone member's failed solve was already its own.
+                implicated = (
+                    self._implicated(exc, owners) if len(members) > 1 else set(members)
+                )
                 for i in members:
                     stream, bag, pending = prepared[i]
                     if i in implicated:
                         failures.append((stream, bag, pending, exc))
                         continue
                     # Rescue a sibling that merely shared the stack:
-                    # re-solve its own pairs alone — exactly the
-                    # sequential push's solve, so it commits
-                    # bit-identically.
+                    # re-solve its own pairs alone — exactly its push's
+                    # solve, so it commits bit-identically.
                     try:
                         distances[i] = engine.compute_pairs(list(pending.pairs))
                     except SolverError as solo_exc:
@@ -468,23 +418,18 @@ class StreamSupervisor:
             if point is not None:
                 into.append((stream.name, point))
 
-        # Phase 4 — apply the stream-error policy to the failures.
+        # Phase 4 — apply the stream-error policy to the failures.  A
+        # prepared push is rolled back (rewinding the generator) or
+        # committed masked; a failed prepare left nothing to undo.
         strict_error: Optional[SolverError] = None
         for stream, bag, maybe_pending, exc in failures:
-            if self.policy.on_stream_error == "strict":
-                if maybe_pending is not None:
-                    stream.detector.rollback(maybe_pending)
-                stream.queue.appendleft(bag)
-                if strict_error is None:
-                    strict_error = exc
-                continue
             if self.policy.on_stream_error == "degraded":
                 warnings.warn(
                     f"stream {stream.name!r}: solver failed "
                     f"({exc}); consuming the bag masked — scores touching it "
                     "will be NaN",
                     RuntimeWarning,
-                    stacklevel=4,
+                    stacklevel=3,
                 )
                 if maybe_pending is not None:
                     point = stream.detector.commit(
@@ -497,11 +442,18 @@ class StreamSupervisor:
                 if point is not None:
                     into.append((stream.name, point))
                 continue
-            # "quarantine": rewind the prepared push first, so the
-            # snapshot taken while parking captures the pre-failure
-            # state (generator included).
             if maybe_pending is not None:
                 stream.detector.rollback(maybe_pending)
+            if self.policy.on_stream_error == "strict":
+                # The bag goes back to the front of the queue; the next
+                # drain of this stream retries it.
+                stream.queue.appendleft(bag)
+                if strict_error is None:
+                    strict_error = exc
+                continue
+            # "quarantine": the rollback above rewound the prepared
+            # push, so the snapshot taken while parking captures the
+            # pre-failure state (generator included).
             self._quarantine_stream(stream, exc)
         if strict_error is not None:
             # The caller never sees a return value when we raise — park
@@ -511,42 +463,6 @@ class StreamSupervisor:
             into.clear()
             raise strict_error
         return attempts
-
-    def _process_one(self, stream: _StreamState) -> Optional[ScorePoint]:
-        """Push the oldest queued bag of one stream, applying the error policy."""
-        bag = stream.queue.popleft()
-        try:
-            point = stream.detector.push(bag)
-        except SolverError as exc:
-            return self._handle_stream_error(stream, bag, exc)
-        self._after_push(stream)
-        return point
-
-    def _handle_stream_error(
-        self, stream: _StreamState, bag: np.ndarray, exc: SolverError
-    ) -> Optional[ScorePoint]:
-        policy = self.policy.on_stream_error
-        if policy == "strict":
-            # The failed push left the detector untouched, so the bag
-            # goes back to the front of the queue and the next drain of
-            # this stream retries it.
-            stream.queue.appendleft(bag)
-            raise exc
-        if policy == "degraded":
-            warnings.warn(
-                f"stream {stream.name!r}: solver failed "
-                f"({exc}); consuming the bag masked — scores touching it "
-                "will be NaN",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            point = stream.detector.push_masked(bag)
-            self.n_degraded_points += 1
-            self._after_push(stream)
-            return point
-        # "quarantine": park the stream on its pre-failure state.
-        self._quarantine_stream(stream, exc)
-        return None
 
     def _quarantine_stream(self, stream: _StreamState, exc: SolverError) -> None:
         """Park a stream on its pre-failure state after a solver error."""
@@ -568,7 +484,7 @@ class StreamSupervisor:
         warnings.warn(
             f"stream {stream.name!r} quarantined after {reason}",
             RuntimeWarning,
-            stacklevel=5,
+            stacklevel=4,
         )
 
     def _after_push(self, stream: _StreamState) -> None:

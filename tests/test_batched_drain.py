@@ -1,13 +1,19 @@
-"""Tests for the cross-stream batched drain and the drain-path bugfixes.
+"""Tests for the supervisor's cross-stream drain rounds.
 
 Covers:
 
 * the two-phase push contract (``prepare``/``commit``/``rollback``) the
-  batched drain is built on;
-* batched-vs-sequential drain parity ≤ 1e-12 across every ground
-  distance and every ``on_stream_error`` policy, including interleaved
-  faults and a poison pair injected into a cross-stream stacked solve
-  (sibling streams sharing the stack must commit bit-identically);
+  drain rounds are built on;
+* drain parity ≤ 1e-12 with independent per-stream
+  :meth:`~repro.core.OnlineBagDetector.push` replays across every ground
+  distance and every ``on_stream_error`` policy (faulted streams against
+  ``push_masked`` or stopped replays), including interleaved faults and
+  a poison pair injected into a cross-stream stacked solve (sibling
+  streams sharing the stack must commit bit-identically); one-stream
+  drains are bit-identical to ``push``;
+* strict raises never lose points: whatever the drain call (or an
+  inline block push) committed before the raise is buffered and
+  delivered by the next ``drain()``;
 * the block-backpressure regression: inline drains must not discard the
   emitted :class:`~repro.core.ScorePoint` — it is buffered and delivered
   by the next ``drain()``;
@@ -15,7 +21,8 @@ Covers:
   ``n_shed_quarantined``, ``n_discarded_on_close``; ``n_shed`` stays
   their sum);
 * the documented attempts-not-emissions semantics of ``drain(limit=N)``
-  when a stream faults mid-round.
+  when a stream faults mid-round;
+* ``n_distance_evaluations`` of supervised streams, counted at commit.
 """
 
 from __future__ import annotations
@@ -158,16 +165,34 @@ def run_rounds(supervisor, per_stream_bags, drain_each_round=True):
     return emitted
 
 
+def push_replay(config, bags, masked=(), stop=None):
+    """An independent detector fed ``bags`` by hand: the drain's oracle.
+
+    Bags at positions in ``masked`` go through ``push_masked`` (the
+    degraded policy's path); ``stop`` ends the replay before that
+    position (a quarantined stream's last state).
+    """
+    detector = OnlineBagDetector(config)
+    for position, bag in enumerate(bags[:stop]):
+        if position in masked:
+            detector.push_masked(bag)
+        else:
+            detector.push(bag)
+    detector.close()
+    return detector
+
+
 # ---------------------------------------------------------------------- #
 # Policy plumbing
 # ---------------------------------------------------------------------- #
 class TestPolicy:
-    def test_batch_drain_defaults_off(self):
-        assert SupervisorPolicy().batch_drain is False
+    def test_batch_drain_defaults_on(self):
+        assert SupervisorPolicy().batch_drain is True
 
-    def test_batch_drain_must_be_bool(self):
+    @pytest.mark.parametrize("value", [False, "yes", 1])
+    def test_batch_drain_rejects_anything_but_true(self, value):
         with pytest.raises(ConfigurationError, match="batch_drain"):
-            SupervisorPolicy(batch_drain="yes")
+            SupervisorPolicy(batch_drain=value)
 
 
 # ---------------------------------------------------------------------- #
@@ -227,11 +252,10 @@ class TestPreparedPush:
 
 
 # ---------------------------------------------------------------------- #
-# Batched-vs-sequential parity
+# Drain parity with independent push replays
 # ---------------------------------------------------------------------- #
-def _parity_run(config_for, batch, rounds=12, error_policy="strict"):
-    policy = SupervisorPolicy(batch_drain=batch, on_stream_error=error_policy)
-    supervisor = StreamSupervisor(policy=policy)
+def _parity_run(config_for, rounds=12):
+    supervisor = StreamSupervisor()
     per_stream = {}
     for s in range(N_STREAMS):
         name = f"s{s}"
@@ -240,112 +264,102 @@ def _parity_run(config_for, batch, rounds=12, error_policy="strict"):
     emitted = run_rounds(supervisor, per_stream)
     histories = stream_histories(supervisor)
     supervisor.close()
-    return emitted, histories
+    for s in range(N_STREAMS):
+        name = f"s{s}"
+        replay = push_replay(config_for(s), per_stream[name])
+        assert histories[name], f"stream {name} emitted nothing"
+        assert_histories_match(replay.history.points, histories[name])
+        # Every committed point was returned by a drain, once, in order.
+        assert [p for n, p in emitted if n == name] == histories[name]
 
 
 @pytest.mark.parametrize("ground_distance", DISTINCT_GROUND_DISTANCES)
-class TestBatchedDrainParity:
-    def test_histogram_streams_match_sequential(self, ground_distance):
-        def config_for(_s):
-            return histogram_config(ground_distance)
+class TestDrainParity:
+    def test_histogram_streams_match_push_replays(self, ground_distance):
+        _parity_run(lambda _s: histogram_config(ground_distance))
 
-        seq_emitted, seq = _parity_run(config_for, batch=False)
-        bat_emitted, bat = _parity_run(config_for, batch=True)
-        assert seq.keys() == bat.keys()
-        for name in seq:
-            assert seq[name], f"stream {name} emitted nothing"
-            assert_histories_match(seq[name], bat[name])
-        assert [name for name, _ in seq_emitted] == [
-            name for name, _ in bat_emitted
-        ]
-
-    def test_kmeans_streams_match_sequential(self, ground_distance):
-        def config_for(s):
-            return service_config(ground_distance=ground_distance, random_state=50 + s)
-
-        _, seq = _parity_run(config_for, batch=False)
-        _, bat = _parity_run(config_for, batch=True)
-        for name in seq:
-            assert seq[name]
-            assert_histories_match(seq[name], bat[name])
-
-
-def _interleaved_fault_run(batch, error_policy):
-    """Rounds with a scripted transient fault: strict drains retry."""
-    policy = SupervisorPolicy(batch_drain=batch, on_stream_error=error_policy)
-    supervisor = StreamSupervisor(policy=policy)
-    per_stream = {}
-    for s in range(N_STREAMS):
-        name = f"s{s}"
-        supervisor.add_stream(name, service_config(random_state=60 + s))
-        per_stream[name] = make_bags(14, shift=float(s), seed=200 + s)
-    for t in range(14):
-        for name, bags in per_stream.items():
-            supervisor.submit(name, bags[t])
-        if t in (5, 9):
-            # The sequential drain raises (first stream's solve fails,
-            # bag requeued); the batched drain survives the single
-            # firing because the unattributable group failure falls
-            # back to per-stream solves, which run after the budget is
-            # exhausted.  Either way no bag may be lost.
-            with inject_transient_solver_error(times=1):
-                try:
-                    supervisor.drain()
-                except SolverError:
-                    pass
-        # The retry (fault cleared) must fully catch up.
-        supervisor.drain()
-    supervisor.drain()
-    histories = stream_histories(supervisor)
-    supervisor.close()
-    return histories
+    def test_kmeans_streams_match_push_replays(self, ground_distance):
+        _parity_run(
+            lambda s: service_config(
+                ground_distance=ground_distance, random_state=50 + s
+            )
+        )
 
 
 @pytest.mark.faults
-class TestBatchedDrainFaults:
-    def test_strict_interleaved_faults_converge_to_sequential(self):
-        seq = _interleaved_fault_run(batch=False, error_policy="strict")
-        bat = _interleaved_fault_run(batch=True, error_policy="strict")
-        for name in seq:
-            assert seq[name]
-            assert_histories_match(seq[name], bat[name])
+class TestDrainFaults:
+    def test_strict_interleaved_faults_match_push_replays(self):
+        """Transient stacked-solve faults neither raise nor lose a bag.
+
+        One firing kills only a round's stacked solve; the unattributable
+        failure re-solves every stream alone after the budget is spent,
+        so each stream still converges to its unfaulted push replay.
+        """
+        supervisor = StreamSupervisor(
+            policy=SupervisorPolicy(on_stream_error="strict")
+        )
+        per_stream = {}
+        for s in range(N_STREAMS):
+            name = f"s{s}"
+            supervisor.add_stream(name, service_config(random_state=60 + s))
+            per_stream[name] = make_bags(14, shift=float(s), seed=200 + s)
+        for t in range(14):
+            for name, bags in per_stream.items():
+                supervisor.submit(name, bags[t])
+            if t in (5, 9):
+                with inject_transient_solver_error(times=1) as log:
+                    supervisor.drain()
+                assert log.events
+            supervisor.drain()
+        histories = stream_histories(supervisor)
+        supervisor.close()
+        for s in range(N_STREAMS):
+            name = f"s{s}"
+            replay = push_replay(service_config(random_state=60 + s), per_stream[name])
+            assert histories[name]
+            assert_histories_match(replay.history.points, histories[name])
 
     @pytest.mark.parametrize("error_policy", ["degraded", "quarantine"])
-    def test_poison_pair_parity_with_sequential(self, error_policy):
-        """A poisoned stream takes the policy identically on both paths."""
+    def test_poison_pair_matches_independent_detectors(self, error_policy):
+        """The poisoned stream takes the policy as an independent detector would.
 
-        def run(batch):
-            policy = SupervisorPolicy(
-                batch_drain=batch, on_stream_error=error_policy
-            )
-            supervisor = StreamSupervisor(policy=policy)
-            per_stream = {}
-            for s in range(N_STREAMS):
-                name = f"s{s}"
-                supervisor.add_stream(name, service_config(random_state=70 + s))
-                per_stream[name] = make_bags(14, shift=float(s), seed=300 + s)
-            per_stream["s1"][6] = poison_bag()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                with inject_poison_marker():
-                    run_rounds(supervisor, per_stream)
-            histories = stream_histories(supervisor)
-            metrics = supervisor.metrics
-            supervisor.close()
-            return histories, metrics
-
-        seq, seq_metrics = run(batch=False)
-        bat, bat_metrics = run(batch=True)
-        for name in seq:
-            assert_histories_match(seq[name], bat[name])
-        # The poisoned stream actually took the policy, on both paths.
-        key = (
-            "n_degraded_points"
-            if error_policy == "degraded"
-            else "n_quarantined"
-        )
-        assert seq_metrics[key] > 0
-        assert seq_metrics[key] == bat_metrics[key]
+        Degraded: the poisoned bag, and every later bag whose window
+        pairs still touch it, is consumed masked, exactly like
+        ``push_masked``.  Quarantine: the stream stops at the fault, on
+        the state a detector fed only the bags before it holds.  The
+        siblings match their full push replays either way.
+        """
+        policy = SupervisorPolicy(on_stream_error=error_policy)
+        supervisor = StreamSupervisor(policy=policy)
+        per_stream = {}
+        for s in range(N_STREAMS):
+            name = f"s{s}"
+            supervisor.add_stream(name, service_config(random_state=70 + s))
+            per_stream[name] = make_bags(14, shift=float(s), seed=300 + s)
+        per_stream["s1"][6] = poison_bag()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with inject_poison_marker():
+                run_rounds(supervisor, per_stream)
+        histories = stream_histories(supervisor)
+        metrics = supervisor.metrics
+        supervisor.close()
+        for s in range(N_STREAMS):
+            name = f"s{s}"
+            config = service_config(random_state=70 + s)
+            if name != "s1":
+                replay = push_replay(config, per_stream[name])
+            elif error_policy == "degraded":
+                # Bags 7..11 pair with bag 6 until it leaves the window.
+                replay = push_replay(config, per_stream[name], masked=set(range(6, 12)))
+            else:
+                replay = push_replay(config, per_stream[name], stop=6)
+            assert_histories_match(replay.history.points, histories[name])
+        if error_policy == "degraded":
+            assert metrics["n_degraded_points"] == 6
+            assert any(np.isnan(p.score) for p in histories["s1"])
+        else:
+            assert metrics["n_quarantined"] == 1
 
     def test_poison_in_stacked_solve_leaves_siblings_bit_identical(self):
         """Siblings sharing the failing stacked solve commit unaffected.
@@ -357,7 +371,7 @@ class TestBatchedDrainFaults:
         independent detectors), while only the poisoned stream is
         quarantined.
         """
-        policy = SupervisorPolicy(batch_drain=True, on_stream_error="quarantine")
+        policy = SupervisorPolicy(on_stream_error="quarantine")
         supervisor = StreamSupervisor(policy=policy)
         per_stream = {}
         for s in range(N_STREAMS):
@@ -384,9 +398,9 @@ class TestBatchedDrainFaults:
             independent.close()
         supervisor.close()
 
-    def test_strict_batched_raise_buffers_round_emissions(self):
+    def test_strict_raise_buffers_round_emissions(self):
         """A strict abort mid-round must not lose the committed points."""
-        policy = SupervisorPolicy(batch_drain=True, on_stream_error="strict")
+        policy = SupervisorPolicy(on_stream_error="strict")
         supervisor = StreamSupervisor(policy=policy)
         per_stream = {}
         for s in range(N_STREAMS):
@@ -417,7 +431,7 @@ class TestBatchedDrainFaults:
 
     def test_unattributable_fault_rescues_all_streams(self):
         """A context-free SolverError re-solves every stream alone."""
-        policy = SupervisorPolicy(batch_drain=True, on_stream_error="degraded")
+        policy = SupervisorPolicy(on_stream_error="degraded")
         supervisor = StreamSupervisor(policy=policy)
         per_stream = {}
         for s in range(N_STREAMS):
@@ -450,8 +464,71 @@ class TestBatchedDrainFaults:
         supervisor.close()
 
 
-class TestDrainBatchedScheduling:
-    def test_drain_batched_works_without_policy_flag(self):
+    def test_strict_single_stream_drain_keeps_committed_points(self):
+        """drain(name) buffers the points its earlier rounds committed.
+
+        Bag 11 commits and emits, then the poisoned bag 12 fails
+        strictly in the same call: the raise must not lose bag 11's
+        point, and the requeued bag is retried by the next drain.
+        """
+        bags = [*make_bags(12, seed=910), poison_bag()]
+        supervisor = StreamSupervisor(
+            service_config(), SupervisorPolicy(on_stream_error="strict")
+        )
+        supervisor.add_stream("a")
+        for bag in bags[:11]:
+            supervisor.submit("a", bag)
+        supervisor.drain("a")
+        supervisor.submit("a", bags[11])
+        supervisor.submit("a", bags[12])
+        with inject_poison_marker():
+            with pytest.raises(SolverError):
+                supervisor.drain("a")
+        assert supervisor.metrics["n_pending_emissions"] == 1
+        assert supervisor.metrics["queue_depths"]["a"] == 1
+        # Fault cleared: the buffered point comes first, then the retry's.
+        emitted = supervisor.drain()
+        replay = push_replay(service_config(), bags)
+        assert [p.time for _, p in emitted] == [9, 10]
+        assert_histories_match(
+            replay.history.points[-2:], [p for _, p in emitted], tol=0.0
+        )
+        supervisor.close()
+
+    def test_strict_block_push_keeps_buffered_points(self):
+        """An inline block push that fails strictly keeps the buffer.
+
+        With a one-bag queue every submit pushes the queued bag inline:
+        one push emits (its point is buffered), the next pushes the
+        poisoned bag and raises — the buffered point must survive.
+        """
+        bags = [*make_bags(12, seed=920), poison_bag()]
+        policy = SupervisorPolicy(
+            on_stream_error="strict", backpressure="block", queue_capacity=1
+        )
+        supervisor = StreamSupervisor(service_config(), policy)
+        supervisor.add_stream("a")
+        for bag in bags[:11]:
+            supervisor.submit("a", bag)
+        supervisor.drain()
+        supervisor.submit("a", bags[11])
+        supervisor.submit("a", bags[12])  # pushes bag 11 inline
+        assert supervisor.metrics["n_pending_emissions"] == 1
+        with inject_poison_marker():
+            with pytest.raises(SolverError):
+                supervisor.submit("a", make_bags(1, seed=921)[0])
+        assert supervisor.metrics["n_pending_emissions"] == 1
+        assert supervisor.metrics["queue_depths"]["a"] == 1
+        emitted = supervisor.drain()
+        replay = push_replay(service_config(), bags)
+        assert_histories_match(
+            replay.history.points[-2:], [p for _, p in emitted], tol=0.0
+        )
+        supervisor.close()
+
+
+class TestDrainScheduling:
+    def test_round_robin_drain_matches_push_replays(self):
         supervisor = StreamSupervisor(policy=SupervisorPolicy())
         per_stream = {}
         for s in range(2):
@@ -461,21 +538,17 @@ class TestDrainBatchedScheduling:
         for t in range(10):
             for name, bags in per_stream.items():
                 supervisor.submit(name, bags[t])
-        emitted = supervisor.drain_batched()
+        emitted = supervisor.drain()
         assert emitted
         for s in range(2):
             name = f"s{s}"
-            independent = OnlineBagDetector(service_config(random_state=40 + s))
-            for bag in per_stream[name]:
-                independent.push(bag)
+            replay = push_replay(service_config(random_state=40 + s), per_stream[name])
             assert_histories_match(
-                independent.history.points,
-                supervisor.detector(name).history.points,
+                replay.history.points, supervisor.detector(name).history.points
             )
-            independent.close()
         supervisor.close()
 
-    def test_drain_batched_respects_limit(self):
+    def test_drain_respects_limit(self):
         supervisor = StreamSupervisor(
             policy=SupervisorPolicy(), config=service_config()
         )
@@ -484,24 +557,58 @@ class TestDrainBatchedScheduling:
         for t in range(4):
             for s in range(3):
                 supervisor.submit(f"s{s}", make_bags(4, seed=800 + s)[t])
-        supervisor.drain_batched(limit=5)
+        supervisor.drain(limit=5)
         depths = supervisor.metrics["queue_depths"]
         assert sum(depths.values()) == 12 - 5
+        # Round-robin: the first round took one bag of every stream.
+        assert [depths[f"s{s}"] for s in range(3)] == [2, 2, 3]
         supervisor.close()
 
-    def test_single_stream_drain_stays_sequential(self):
-        """drain(name=...) ignores batch_drain, and still works."""
-        supervisor = StreamSupervisor(
-            policy=SupervisorPolicy(batch_drain=True), config=service_config()
-        )
+    def test_single_stream_drain_is_bit_identical_to_push(self):
+        """drain(name=...) rounds solve exactly push's pairs, alone."""
+        supervisor = StreamSupervisor(config=service_config())
         supervisor.add_stream("a")
+        supervisor.add_stream("b")
         bags = make_bags(10, seed=900)
         for bag in bags:
             supervisor.submit("a", bag)
+            supervisor.submit("b", bag)
         emitted = supervisor.drain("a")
         assert [name for name, _ in emitted] == ["a"] * len(emitted)
-        assert supervisor.metrics["queue_depths"]["a"] == 0
+        assert supervisor.metrics["queue_depths"] == {"a": 0, "b": len(bags)}
+        replay = push_replay(service_config(), bags)
+        assert_histories_match(
+            replay.history.points, [p for _, p in emitted], tol=0.0
+        )
         supervisor.close()
+
+
+class TestDistanceEvaluations:
+    def test_supervised_count_matches_independent_detector(self):
+        """Rounds solve on a shared engine; the count follows the commits."""
+        supervisor = StreamSupervisor(config=service_config())
+        per_stream = {name: make_bags(8, seed=seed) for name, seed in (("a", 31), ("b", 32))}
+        for name in per_stream:
+            supervisor.add_stream(name)
+        run_rounds(supervisor, per_stream)
+        for name, bags in per_stream.items():
+            replay = push_replay(service_config(), bags)
+            assert replay.n_distance_evaluations > 0
+            assert (
+                supervisor.detector(name).n_distance_evaluations
+                == replay.n_distance_evaluations
+            )
+        supervisor.close()
+
+    def test_masked_push_counts_nothing(self):
+        detector = OnlineBagDetector(service_config())
+        bags = make_bags(5, seed=33)
+        for bag in bags[:4]:
+            detector.push(bag)
+        before = detector.n_distance_evaluations
+        detector.push_masked(bags[4])
+        assert detector.n_distance_evaluations == before
+        detector.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -626,19 +733,24 @@ class TestDrainLimitSemantics:
         with StreamSupervisor(service_config(), policy) as supervisor:
             supervisor.add_stream("a")
             supervisor.add_stream("b")
-            bags_a = make_bags(2, seed=28)
-            bags_b = make_bags(2, seed=29)
-            for bag_a, bag_b in zip(bags_a, bags_b):
+            bags_a = make_bags(3, seed=28)
+            bags_a[1] = poison_bag()
+            bags_b = make_bags(3, seed=29)
+            supervisor.submit("a", bags_a[0])
+            supervisor.submit("b", bags_b[0])
+            supervisor.drain()
+            for bag_a, bag_b in zip(bags_a[1:], bags_b[1:]):
                 supervisor.submit("a", bag_a)
                 supervisor.submit("b", bag_b)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                with inject_transient_solver_error(times=1):
+                with inject_poison_marker():
                     supervisor.drain(limit=2)
-            # Round 1: stream a's attempt faulted (quarantining it, no
-            # emission) and consumed one unit; stream b's attempt
-            # consumed the other.  b's second bag is still queued - the
-            # fault did not starve it of its round-1 slot.
+            # One round: stream a's attempt faulted on its own pairs
+            # (quarantining it, no emission) and consumed one unit;
+            # stream b's attempt, rescued from the shared stack,
+            # consumed the other.  b's third bag is still queued - the
+            # fault did not starve it of its slot in the round.
             assert supervisor.status("a") == "quarantined"
-            assert supervisor.detector("b").n_seen == 1
+            assert supervisor.detector("b").n_seen == 2
             assert supervisor.metrics["queue_depths"]["b"] == 1

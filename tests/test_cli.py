@@ -23,6 +23,8 @@ from repro.service import BACKPRESSURE_POLICIES, STREAM_ERROR_POLICIES, Supervis
 
 #: The DetectorConfig fields the CLI deliberately does not expose.
 OPTED_OUT = {"histogram_range", "estimator", "emd_backend"}
+#: The SupervisorPolicy fields the CLI deliberately does not expose.
+POLICY_OPTED_OUT = {"batch_drain"}
 #: The fields whose flag is not --<field-name>.
 RENAMED = {
     "signature_method": "--signature",
@@ -136,9 +138,11 @@ class TestConfigFlags:
         assert all_fields - exposed == OPTED_OUT
         dests = {action.dest for action in build_parser()._actions}
         assert not dests & OPTED_OUT
-        assert {spec.name for spec in cli_fields(SupervisorPolicy)} == {
-            spec.name for spec in dataclasses.fields(SupervisorPolicy)
-        }
+        policy_fields = {spec.name for spec in dataclasses.fields(SupervisorPolicy)}
+        exposed_policy = {spec.name for spec in cli_fields(SupervisorPolicy)}
+        assert policy_fields - exposed_policy == POLICY_OPTED_OUT
+        serve_dests = {action.dest for action in build_serve_parser()._actions}
+        assert not serve_dests & POLICY_OPTED_OUT
 
     @pytest.mark.parametrize(
         "spec", cli_fields(DetectorConfig), ids=lambda spec: spec.name

@@ -5,6 +5,7 @@ import pytest
 
 from repro.emd import (
     EMDCache,
+    PairwiseEMDEngine,
     cross_distance_matrix,
     cross_emd_matrix,
     emd,
@@ -128,6 +129,21 @@ class TestPairedCrossDistances:
         negative = lambda a, b: -np.ones((a.shape[0], b.shape[0]))
         with pytest.raises(ConfigurationError):
             paired_cross_distances(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)), negative)
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_callable_non_finite_distances_rejected(self, bad_value):
+        def poisoned(a, b):
+            out = cdist(a, b)
+            out[0, 0] = bad_value
+            return out
+
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            paired_cross_distances(np.zeros((2, 2, 1)), np.ones((2, 3, 1)), poisoned)
+        # The stacked route builds its costs here, so a NaN cost is still
+        # an error there, not an LP input.
+        pair = (sig([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0]), sig([[0.0, 2.0]], [2.0]))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            PairwiseEMDEngine(ground_distance=poisoned).compute_pairs([pair])
 
 
 class TestWasserstein1D:

@@ -299,7 +299,7 @@ class TestBatchedGroupErrorContext:
         def failing_solver(*args, **kwargs):
             raise SolverError("synthetic stacked failure", pair_indices=[1])
 
-        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_solver)
+        monkeypatch.setattr(batch_module, "_solve_batch_unchecked", failing_solver)
         engine = PairwiseEMDEngine()
         with pytest.raises(SolverError) as excinfo:
             engine.compute_pairs(pairs)
@@ -316,7 +316,7 @@ class TestBatchedGroupErrorContext:
         def failing_solver(*args, **kwargs):
             raise SolverError("synthetic stacked failure")
 
-        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_solver)
+        monkeypatch.setattr(batch_module, "_solve_batch_unchecked", failing_solver)
         engine = PairwiseEMDEngine()
         with pytest.raises(SolverError) as excinfo:
             engine.compute_pairs(pairs)

@@ -329,9 +329,9 @@ class LPSpy:
     def __init__(self, monkeypatch):
         from repro.emd import batch as batch_module
 
-        self.real = batch_module.solve_emd_linprog_batch
+        self.real = batch_module._solve_batch_unchecked
         self.shapes = []
-        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", self)
+        monkeypatch.setattr(batch_module, "_solve_batch_unchecked", self)
 
     def __call__(self, cost, supply, demand, **kwargs):
         self.shapes.extend([(supply.shape[1], demand.shape[1])] * supply.shape[0])
@@ -490,7 +490,7 @@ class TestCoincidentMass:
             assert supply.shape == (2, 2) and demand.shape == (2, 1)
             raise SolverError("synthetic residual failure", pair_indices=[1])
 
-        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_solver)
+        monkeypatch.setattr(batch_module, "_solve_batch_unchecked", failing_solver)
         with pytest.raises(SolverError) as excinfo:
             PairwiseEMDEngine().compute_pairs(pairs)
         assert excinfo.value.pair_indices == (3,)
@@ -675,14 +675,14 @@ class TestShapeGroupFailures:
     ):
         from repro.emd import batch as batch_module
 
-        real_solver = batch_module.solve_emd_linprog_batch
+        real_solver = batch_module._solve_batch_unchecked
 
         def failing_for_large_group(cost, supply, demand, **kwargs):
             if supply.shape[1] == 4:
                 raise SolverError("synthetic group failure", pair_indices=reported)
             return real_solver(cost, supply, demand, **kwargs)
 
-        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_for_large_group)
+        monkeypatch.setattr(batch_module, "_solve_batch_unchecked", failing_for_large_group)
         with PairwiseEMDEngine(parallel_backend=parallel_backend, n_workers=2) as engine:
             with pytest.raises(SolverError) as excinfo:
                 engine.compute_pairs(self.make_two_group_batch())

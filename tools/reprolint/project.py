@@ -84,6 +84,7 @@ SOLVER_CALL_NAMES: Final[FrozenSet[str]] = frozenset(
         "banded_matrix",
         "solve_emd_linprog",
         "solve_emd_linprog_batch",
+        "_solve_batch_unchecked",
         "solve_transportation",
     }
 )
